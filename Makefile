@@ -47,8 +47,8 @@ lint-cold:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Machine-readable seed-vs-shared dispatch overhead (BENCH_parallel.json)
-# plus the observability stream (metrics.jsonl + trace.json), the
+# Machine-readable warm-pool dispatch overhead and engine sections
+# (BENCH_parallel.json) plus the observability stream (metrics.jsonl + trace.json), the
 # profiler's collapsed stacks (profile.collapsed — render with
 # `repro-butterfly profile profile.collapsed`), and one appended
 # BENCH_history.jsonl record.  Run with REPRO_OBS=0 to pin the obs

@@ -83,8 +83,6 @@ DEPRECATION_SHIM_MODULES: frozenset[str] = frozenset(
         "repro.core.peeling.tip",
         "repro.core.peeling.wing",
         "repro.core.parallel",
-        "repro.core.dynamic",
-        "repro.bench.workmodel",
     }
 )
 

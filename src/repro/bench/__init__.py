@@ -16,7 +16,7 @@ from repro.bench.results import (
     sweep_from_dict,
     sweep_to_dict,
 )
-from repro.bench.workmodel import WorkProfile, work_profile, work_table
+from repro.core.workinfo import WorkProfile, work_profile, work_table
 from repro.bench.history import (
     DEFAULT_TOLERANCE,
     Verdict,

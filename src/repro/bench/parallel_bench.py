@@ -1,25 +1,16 @@
-"""Seed-vs-shared parallel dispatch benchmark (writes ``BENCH_parallel.json``).
+"""Parallel dispatch and engine benchmark (writes ``BENCH_parallel.json``).
 
-Measures the *per-call dispatch overhead* of the two process-parallel
-paths on a ≥10⁵-edge generated graph:
+The headline section measures the *per-call dispatch overhead* of the
+warm shared-memory pool (:class:`~repro.parallel.ButterflyExecutor`) on a
+≥10⁵-edge generated graph: a warm pool attached zero-copy to one
+published segment, so each call ships only a handful of ``(meta, side,
+reference, strategy, lo, hi)`` task tuples.
 
-- **seed** (``executor="process"``): a fresh ``ProcessPoolExecutor`` per
-  call, graph arrays shipped through the pool initializer.  Per-call cost
-  = pool startup + array transport + teardown (under ``fork`` the
-  transport rides copy-on-write; under ``spawn`` it is an
-  ``O(workers · nnz)`` pickle — either way it is paid *every call*).
-- **shared** (:class:`~repro.parallel.ButterflyExecutor`): a warm pool
-  attached zero-copy to one published shared-memory segment.  Per-call
-  cost = a handful of ``(meta, side, reference, strategy, lo, hi)`` task
-  tuples.
-
-Dispatch overhead is isolated as ``t_path − t_inproc`` where ``t_inproc``
-runs the *identical* chunked sweep in-process (an ``n_workers=1``
-executor, which short-circuits to serial), clamped at a timing-noise
-floor.  The measurement graph is wide but shallow (few pivots, ≥10⁵
-edges) so transport and pool costs dominate compute; a power-law
-*throughput* section on a second ≥10⁵-edge graph is recorded alongside
-for context.
+Dispatch overhead is isolated as ``t_shared − t_inproc`` where
+``t_inproc`` runs the *identical* chunked sweep in-process (an
+``n_workers=1`` executor, which short-circuits to serial), clamped at a
+timing-noise floor.  The measurement graph is wide but shallow (few
+pivots, ≥10⁵ edges) so transport and pool costs dominate compute.
 
 Run as::
 
@@ -27,7 +18,7 @@ Run as::
 
 (the ``make bench-quick`` target), or call :func:`run_benchmark` from the
 benchmark suite (``benchmarks/test_parallel_sharedmem.py`` asserts the
-ISSUE's ≥2× overhead-reduction criterion on the payload).
+warm pool starts once and publishes once).
 """
 
 from __future__ import annotations
@@ -68,19 +59,12 @@ def _best_of(fn, repeats: int):
 
 
 def _dispatch_overhead_section(n_workers: int, repeats: int) -> dict:
-    """The criterion measurement: wide sparse graph, compute ≈ tens of ms."""
+    """Wide sparse graph, compute ≈ tens of ms: the warm pool's per-call
+    cost over the same sweep run in-process."""
     g = gnm_bipartite(400, 200_000, 150_000, seed=11)
 
     with ButterflyExecutor(n_workers=1) as ex1:
         t_inproc, expected = _best_of(lambda: ex1.count(g), repeats)
-
-    t_seed, v_seed = _best_of(
-        lambda: count_butterflies_parallel(
-            g, n_workers=n_workers, executor="process"
-        ),
-        repeats,
-    )
-    assert v_seed == expected, "seed process path disagrees"
 
     with ButterflyExecutor(n_workers=n_workers) as ex:
         warm_value = ex.count(g)  # warm-up: starts pool, publishes segment
@@ -93,8 +77,6 @@ def _dispatch_overhead_section(n_workers: int, repeats: int) -> dict:
         }
     assert v_shared == expected
 
-    overhead_seed = max(t_seed - t_inproc, OVERHEAD_FLOOR_SECONDS)
-    overhead_shared = max(t_shared - t_inproc, OVERHEAD_FLOOR_SECONDS)
     return {
         "graph": {
             "generator": "gnm_bipartite(400, 200000, 150000, seed=11)",
@@ -104,40 +86,11 @@ def _dispatch_overhead_section(n_workers: int, repeats: int) -> dict:
             "butterflies": expected,
         },
         "seconds_inproc": t_inproc,
-        "seconds_seed_per_call": t_seed,
         "seconds_shared_warm_per_call": t_shared,
-        "overhead_seed_seconds": overhead_seed,
-        "overhead_shared_seconds": overhead_shared,
-        "overhead_ratio": overhead_seed / overhead_shared,
-        "executor_telemetry": telemetry,
-    }
-
-
-def _throughput_section(n_workers: int, repeats: int) -> dict:
-    """Context: end-to-end per-call times on a butterfly-heavy graph."""
-    g = power_law_bipartite(3_000, 4_000, 150_000, seed=7)
-
-    with ButterflyExecutor(n_workers=1) as ex1:
-        t_serial, expected = _best_of(lambda: ex1.count(g), repeats)
-    t_seed, v_seed = _best_of(
-        lambda: count_butterflies_parallel(
-            g, n_workers=n_workers, executor="process"
+        "overhead_shared_seconds": max(
+            t_shared - t_inproc, OVERHEAD_FLOOR_SECONDS
         ),
-        repeats,
-    )
-    with ButterflyExecutor(n_workers=n_workers) as ex:
-        ex.count(g)
-        t_shared, v_shared = _best_of(lambda: ex.count(g), repeats)
-    assert v_seed == expected and v_shared == expected
-    return {
-        "graph": {
-            "generator": "power_law_bipartite(3000, 4000, 150000, seed=7)",
-            "n_edges": g.n_edges,
-            "butterflies": expected,
-        },
-        "seconds_serial": t_serial,
-        "seconds_seed_per_call": t_seed,
-        "seconds_shared_warm_per_call": t_shared,
+        "executor_telemetry": telemetry,
     }
 
 
@@ -444,9 +397,9 @@ def _drift_section(repeats: int) -> dict:
 def _storage_section(repeats: int) -> dict:
     """The storage axis: locality speedup, publication shrink, auto choice.
 
-    Four claims, measured on the same power-law preset as the throughput
-    section (index working set ≈ 1.2 MB — past L2 on the reference
-    machines, so layout-induced locality differences are visible):
+    Four claims, measured on the power-law 3k×4k/150k preset (index
+    working set ≈ 1.2 MB — past L2 on the reference machines, so
+    layout-induced locality differences are visible):
 
     - ``reorder_speedup_ratio`` (raw ÷ reorder wall-clock, best strategy;
       higher is better): the degree-ordered relabeling must win on at
@@ -572,7 +525,6 @@ def _analysis_section() -> dict:
 def run_benchmark(
     n_workers: int = 2,
     repeats: int = 5,
-    throughput: bool = True,
     profile_out: str | None = None,
 ) -> dict:
     """Run all sections and return the JSON-ready payload."""
@@ -590,22 +542,19 @@ def run_benchmark(
         "storage": _storage_section(repeats),
         "analysis": _analysis_section(),
     }
-    if throughput:
-        payload["throughput"] = _throughput_section(n_workers, repeats)
     return payload
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.parallel_bench",
-        description="Measure seed-vs-shared parallel dispatch overhead.",
+        description="Measure warm-pool dispatch overhead and the engine "
+        "sections.",
     )
     parser.add_argument("--out", default="BENCH_parallel.json",
                         help="output JSON path (default: BENCH_parallel.json)")
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--no-throughput", action="store_true",
-                        help="skip the power-law throughput section")
     parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="enable repro.obs for the run and append the registry to "
@@ -637,7 +586,6 @@ def main(argv=None) -> int:
     payload = run_benchmark(
         n_workers=args.workers,
         repeats=args.repeats,
-        throughput=not args.no_throughput,
         profile_out=args.profile_out,
     )
     if args.metrics_out:
@@ -663,9 +611,7 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}")
     print(f"per-call dispatch overhead ({args.workers} workers, "
           f"{d['graph']['n_edges']} edges):")
-    print(f"  seed process pool : {d['overhead_seed_seconds'] * 1e3:8.2f} ms/call")
     print(f"  shared warm pool  : {d['overhead_shared_seconds'] * 1e3:8.2f} ms/call")
-    print(f"  ratio             : {d['overhead_ratio']:8.1f}x")
     r = payload["planner_regret"]
     print(f"planner regret ({r['graph']['n_edges']} edges):")
     print(f"  auto plan [{r['chosen_plan']}] : "

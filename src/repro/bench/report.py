@@ -85,11 +85,11 @@ def fig10_report(datasets: list[str], repeats: int = 1) -> str:
 def fig11_report(
     datasets: list[str], n_workers: int = 6, repeats: int = 1
 ) -> str:
-    """The parallel 8-invariant timing grid (Fig. 11), process pool."""
+    """The parallel 8-invariant timing grid (Fig. 11), shared warm pool."""
     sweep, md = _grid_sweep(
         datasets,
         lambda g, inv: count_butterflies_parallel(
-            g, n_workers=n_workers, executor="process", invariant=inv,
+            g, n_workers=n_workers, executor="shared", invariant=inv,
             strategy="spmv",
         ),
         f"fig11 — parallel times ({n_workers} process workers, spmv), seconds",
@@ -132,7 +132,7 @@ def record_run(datasets: list[str] | None = None, n_workers: int = 6) -> dict:
     fig11, _ = _grid_sweep(
         datasets,
         lambda g, inv: count_butterflies_parallel(
-            g, n_workers=n_workers, executor="process", invariant=inv,
+            g, n_workers=n_workers, executor="shared", invariant=inv,
             strategy="spmv",
         ),
         f"fig11 — parallel times ({n_workers} process workers, spmv), seconds",

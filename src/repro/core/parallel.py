@@ -6,24 +6,15 @@ pivot's positional prefix (A0) or suffix (A2), and those pair sets are
 disjoint across pivots — so disjoint pivot ranges contribute disjoint
 butterfly sets and the totals simply add, regardless of the order the
 ranges run in.  This is exactly what the paper exploits for its 6-thread
-numbers (Fig. 11); here the same decomposition is executed on either
+numbers (Fig. 11).  Here the ranges are cut once (:func:`count_ranges` /
+:func:`vertex_ranges`) and then run on either
 
-- a **shared-memory warm pool** (default) — the graph's compressed arrays
-  live in one POSIX shared-memory segment that workers attach zero-copy,
-  and the pool persists across calls; see
+- the **shared-memory warm pool** (``executor="shared"``, the default) —
+  the graph's compressed arrays live in one POSIX shared-memory segment
+  that workers attach zero-copy, and the pool persists across calls; see
   :class:`repro.parallel.ButterflyExecutor`, or
-- a **process pool** (the seed path, kept as the ablation baseline and
-  the fallback where shared memory is unavailable) — each worker receives
-  the graph's compressed arrays once per call via the pool initializer
-  and counts a set of pivot ranges; this is the configuration that
-  actually scales in CPython, standing in for the paper's OpenMP threads,
-  or
-- a **thread pool** — shares the arrays with zero copies but is mostly
-  GIL-bound in pure-NumPy code; provided because that comparison is itself
-  one of the lessons of porting the paper's parallelisation to Python (the
-  fig11 benchmark reports both), or
-- ``"serial"`` — the same range decomposition with no pool, used by tests
-  to validate the tiling independently of pool plumbing.
+- in-process (``executor="serial"``, ``n_workers=1``, or where shared
+  memory is unavailable — observable as ``parallel.shared_fallback``).
 
 All three sequential strategies are supported so the parallel numbers are
 directly comparable to the sequential ones: ``"spmv"`` (the paper-literal
@@ -38,12 +29,13 @@ equal-width ranges would leave most workers idle.
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 import os
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from repro import obs
+from repro._types import COUNT_DTYPE
 from repro.core.family import (
     Invariant,
     Reference,
@@ -56,12 +48,14 @@ from repro.core.family import (
 )
 from repro.core.workinfo import pivot_work_estimate, spmv_scan_lengths
 from repro.graphs.bipartite import BipartiteGraph
-from repro.sparsela import PatternCSC, PatternCSR
 
 __all__ = [
     "count_butterflies_parallel",
     "vertex_butterfly_counts_parallel",
     "count_range",
+    "count_ranges",
+    "vertex_ranges",
+    "PivotRanges",
     "parallel_work_model",
     "pivot_work_estimate",
     "spmv_scan_lengths",
@@ -222,57 +216,112 @@ def count_range(
     return total
 
 
-# ----------------------------------------------------------------------
-# process-pool plumbing: the graph arrays are shipped once per worker via
-# the initializer and cached in module globals, so each range task is a
-# tiny (lo, hi) message.
-# ----------------------------------------------------------------------
-_WORKER: dict = {}
+class PivotRanges(NamedTuple):
+    """One pivot-range decomposition, cut once and run by any executor.
+
+    ``pivot_major``/``complementary`` are the traversal's two compressed
+    views (``side`` names which is pivot-major, so pool workers re-derive
+    the pair from the published graph), ``reference`` is the partition the
+    per-pivot update reads, and ``ranges`` tile the pivot space in
+    contiguous, work-balanced pieces whose results add up.
+    """
+
+    side: Side
+    reference: Reference
+    pivot_major: Any
+    complementary: Any
+    ranges: list[tuple[int, int]]
+
+    def butterflies(self, strategy: str) -> int:
+        """Sum the ranges' butterfly contributions in-process."""
+        return sum(
+            count_range(
+                self.pivot_major, self.complementary, lo, hi, self.reference,
+                strategy,
+            )
+            for lo, hi in self.ranges
+        )
+
+    def vertex_counts(self) -> np.ndarray:
+        """Per-vertex butterfly counts of the pivot side, filled range by
+        range in-process."""
+        from repro.core.local_counts import vertex_counts_panel
+
+        out = np.zeros(self.pivot_major.major_dim, dtype=COUNT_DTYPE)
+        for lo, hi in self.ranges:
+            out[lo:hi] = vertex_counts_panel(
+                self.pivot_major, self.complementary, lo, hi
+            )
+        return out
 
 
-#: Back-compat private aliases (public names are the supported surface).
-_count_range = count_range
-_parallel_work_model = parallel_work_model
+def count_ranges(
+    graph: BipartiteGraph,
+    n_chunks: int,
+    invariant: int | Invariant | None = None,
+    side: str | Side | None = None,
+    strategy: str = "adjacency",
+) -> PivotRanges:
+    """Cut Ξ_G into at most ``n_chunks`` work-balanced pivot ranges.
 
+    ``invariant`` fixes both the side and the reference partition;
+    otherwise ``side`` (default: the cost model's choice, which reduces to
+    the paper's smaller-side rule on an uncalibrated machine) is swept
+    with the suffix reference.  ``strategy="wedge"`` cuts
+    :func:`wedge_shards`, every other strategy :func:`balanced_ranges`.
+    """
+    if strategy not in ("adjacency", "scratch", "spmv", "wedge"):
+        raise ValueError(
+            f"unknown strategy {strategy!r}; expected 'adjacency', 'scratch', "
+            "'spmv' or 'wedge'"
+        )
+    reference = Reference.SUFFIX
+    if invariant is not None:
+        inv = _resolve_invariant(invariant)
+        side_e, reference = inv.side, inv.reference
+    elif side is None:
+        from repro.engine import select_count_invariant
 
-def _worker_init(
-    side_value,
-    reference_value,
-    strategy,
-    pm_indptr,
-    pm_indices,
-    pm_shape,
-    co_indptr,
-    co_indices,
-    co_shape,
-):
-    cls_major = PatternCSC if side_value == Side.COLUMNS.value else PatternCSR
-    cls_comp = PatternCSR if side_value == Side.COLUMNS.value else PatternCSC
-    pm = cls_major(pm_indptr, pm_indices, pm_shape, check=False)
-    _WORKER["pivot_major"] = pm
-    _WORKER["complementary"] = cls_comp(co_indptr, co_indices, co_shape, check=False)
-    _WORKER["reference"] = Reference(reference_value)
-    _WORKER["strategy"] = strategy
-    if strategy == "spmv":
-        _WORKER["entry_major_ids"] = pm.expand_major()
-        _WORKER["marker"] = np.zeros(pm.minor_dim, dtype=bool)
+        side_e = _resolve_invariant(select_count_invariant(graph)).side
     else:
-        _WORKER["entry_major_ids"] = None
-        _WORKER["marker"] = None
-
-
-def _worker_count_range(bounds: tuple[int, int]) -> int:
-    lo, hi = bounds
-    return count_range(
-        _WORKER["pivot_major"],
-        _WORKER["complementary"],
-        lo,
-        hi,
-        _WORKER["reference"],
-        _WORKER["strategy"],
-        _WORKER["entry_major_ids"],
-        _WORKER["marker"],
+        side_e = Side(side)
+    pivot_major, complementary = _matrices_for_side(graph, side_e)
+    work = parallel_work_model(pivot_major, complementary, strategy, reference)
+    cutter = wedge_shards if strategy == "wedge" else balanced_ranges
+    return PivotRanges(
+        side_e, reference, pivot_major, complementary, cutter(work, n_chunks)
     )
+
+
+def vertex_ranges(graph: BipartiteGraph, side: str, n_chunks: int) -> PivotRanges:
+    """Cut the per-vertex counts of ``side`` (``"left"``/``"right"``) into
+    at most ``n_chunks`` pivot ranges balanced by wedge work."""
+    if side == "left":
+        side_e = Side.ROWS
+    elif side == "right":
+        side_e = Side.COLUMNS
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    pivot_major, complementary = _matrices_for_side(graph, side_e)
+    work = pivot_work_estimate(pivot_major, complementary)
+    return PivotRanges(
+        side_e, Reference.SUFFIX, pivot_major, complementary,
+        balanced_ranges(work, n_chunks),
+    )
+
+
+def _pool_width(executor: str, n_workers: int | None) -> int:
+    """Validate ``executor`` and resolve ``n_workers`` (default: the CPU
+    count capped at 6, the paper's thread count)."""
+    if executor not in ("shared", "serial"):
+        raise ValueError(
+            f"unknown executor {executor!r}; expected 'shared' or 'serial'"
+        )
+    if n_workers is None:
+        n_workers = min(os.cpu_count() or 1, 6)
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    return n_workers
 
 
 def count_butterflies_parallel(
@@ -292,7 +341,7 @@ def count_butterflies_parallel(
         The bipartite graph.
     n_workers:
         Pool size; defaults to ``os.cpu_count()`` capped at 6 (the paper's
-        thread count).
+        thread count).  ``1`` runs the ranges in-process.
     side:
         ``"columns"``/``"rows"`` (or a :class:`Side`); defaults to the
         smaller vertex set, per the paper's Section V selection rule.
@@ -300,12 +349,9 @@ def count_butterflies_parallel(
     executor:
         ``"shared"`` (default — zero-copy shared-memory buffers on a
         process-wide warm pool, see
-        :class:`repro.parallel.ButterflyExecutor`; falls back to
-        ``"process"`` where POSIX shared memory is unavailable),
-        ``"process"`` (the seed path: cold pool per call, graph pickled
-        into every worker via initargs), ``"thread"`` (GIL-bound
-        comparison), or ``"serial"`` (same decomposition, no pool — used
-        by tests).
+        :class:`repro.parallel.ButterflyExecutor`; runs the same ranges
+        in-process where POSIX shared memory is unavailable) or
+        ``"serial"`` (same decomposition, no pool).
     chunks_per_worker:
         Over-decomposition factor for load balancing on skewed graphs.
     invariant:
@@ -327,20 +373,7 @@ def count_butterflies_parallel(
     int
         Ξ_G, identical to every sequential member of the family.
     """
-    if executor not in ("shared", "process", "thread", "serial"):
-        raise ValueError(
-            f"unknown executor {executor!r}; expected 'shared', 'process', "
-            "'thread' or 'serial'"
-        )
-    if strategy not in ("adjacency", "scratch", "spmv", "wedge"):
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected 'adjacency', 'scratch', "
-            "'spmv' or 'wedge'"
-        )
-    if n_workers is None:
-        n_workers = min(os.cpu_count() or 1, 6)
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    n_workers = _pool_width(executor, n_workers)
     if obs._enabled:
         obs.inc(f"parallel.executor.{executor}")
     # the span subsumes the old flat ``parallel.count.calls`` counter and
@@ -351,110 +384,23 @@ def count_butterflies_parallel(
         workers=n_workers,
         strategy=strategy,
     ):
-        return _count_parallel_body(
-            graph, n_workers, side, executor, chunks_per_worker,
-            invariant, strategy,
+        cut = count_ranges(
+            graph, n_workers * chunks_per_worker, invariant, side, strategy
         )
+        if obs._enabled:
+            obs.inc("parallel.ranges", len(cut.ranges))
+        if executor == "shared" and n_workers > 1 and cut.ranges:
+            try:
+                from repro.parallel import get_default_executor
 
-
-def _count_parallel_body(
-    graph, n_workers, side, executor, chunks_per_worker, invariant, strategy
-) -> int:
-    if executor == "shared" and n_workers > 1:
-        try:
-            from repro.parallel import get_default_executor
-
-            return get_default_executor(n_workers).count(
-                graph,
-                invariant=invariant,
-                side=side,
-                strategy=strategy,
-                chunks_per_worker=chunks_per_worker,
-            )
-        except (ImportError, OSError, PermissionError):
-            # documented heal path: platform without usable shared memory
-            # (or a publish/attach failure) falls back to the seed pickling
-            # executor — observable as parallel.shared_fallback
-            obs.inc("parallel.shared_fallback")
-            executor = "process"
-
-    reference = Reference.SUFFIX
-    if invariant is not None:
-        inv = _resolve_invariant(invariant)
-        side_e = inv.side
-        reference = inv.reference
-    elif side is None:
-        # cost-model side choice (reduces to the paper's smaller-side rule
-        # on an uncalibrated machine) — one decision point for the repo
-        from repro.engine import select_count_invariant
-
-        side_e = _resolve_invariant(select_count_invariant(graph)).side
-    elif isinstance(side, Side):
-        side_e = side
-    else:
-        side_e = Side(side)
-    pivot_major, complementary = _matrices_for_side(graph, side_e)
-    work = parallel_work_model(pivot_major, complementary, strategy, reference)
-    if strategy == "wedge":
-        ranges = wedge_shards(work, n_workers * chunks_per_worker)
-    else:
-        ranges = balanced_ranges(work, n_workers * chunks_per_worker)
-    if obs._enabled:
-        obs.inc("parallel.ranges", len(ranges))
-    if not ranges:
-        return 0
-
-    if executor in ("serial", "shared") or n_workers == 1:
-        return sum(
-            count_range(pivot_major, complementary, lo, hi, reference, strategy)
-            for lo, hi in ranges
-        )
-
-    if executor == "thread":
-        entry_ids = pivot_major.expand_major() if strategy == "spmv" else None
-
-        def run(bounds):
-            lo, hi = bounds
-            # markers are per-task scratch: tasks may share a thread but a
-            # fresh marker per call keeps them independent
-            marker = (
-                np.zeros(pivot_major.minor_dim, dtype=bool)
-                if strategy == "spmv"
-                else None
-            )
-            return count_range(
-                pivot_major, complementary, lo, hi, reference, strategy,
-                entry_ids, marker,
-            )
-
-        with cf.ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return sum(pool.map(run, ranges))
-
-    # executor == "process" (validated above)
-    initargs = (
-        side_e.value,
-        reference.value,
-        strategy,
-        pivot_major.entry_offsets(),
-        pivot_major.entries(0, pivot_major.nnz),
-        pivot_major.shape,
-        complementary.entry_offsets(),
-        complementary.entries(0, complementary.nnz),
-        complementary.shape,
-    )
-    with cf.ProcessPoolExecutor(
-        max_workers=n_workers, initializer=_worker_init, initargs=initargs
-    ) as pool:
-        return sum(pool.map(_worker_count_range, ranges))
-
-
-def _worker_vertex_range(bounds: tuple[int, int]):
-    from repro.core.local_counts import vertex_counts_panel
-
-    lo, hi = bounds
-    return lo, vertex_counts_panel(
-        _WORKER["pivot_major"], _WORKER["complementary"], lo, hi
-    )
+                return get_default_executor(n_workers).run_count(
+                    graph, cut, strategy
+                )
+            except (ImportError, OSError):
+                # platform without usable shared memory (or a publish /
+                # attach failure): the same ranges run in-process
+                obs.inc("parallel.shared_fallback")
+        return cut.butterflies(strategy)
 
 
 def vertex_butterfly_counts_parallel(
@@ -473,75 +419,16 @@ def vertex_butterfly_counts_parallel(
     to accelerate the peeling fixpoint rounds on multi-core machines.
 
     Parameters mirror :func:`count_butterflies_parallel` (including the
-    ``"shared"`` warm-pool default); ``side`` selects the counted vertex
-    set rather than an invariant.
+    ``"shared"`` warm-pool default and its in-process fallback); ``side``
+    selects the counted vertex set rather than an invariant.
     """
-    if executor not in ("shared", "process", "thread", "serial"):
-        raise ValueError(
-            f"unknown executor {executor!r}; expected 'shared', 'process', "
-            "'thread' or 'serial'"
-        )
-    if side == "left":
-        pivot_major, complementary = graph.csr, graph.csc
-    elif side == "right":
-        pivot_major, complementary = graph.csc, graph.csr
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if n_workers is None:
-        n_workers = min(os.cpu_count() or 1, 6)
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-
-    if executor == "shared" and n_workers > 1:
+    n_workers = _pool_width(executor, n_workers)
+    cut = vertex_ranges(graph, side, n_workers * chunks_per_worker)
+    if executor == "shared" and n_workers > 1 and cut.ranges:
         try:
             from repro.parallel import get_default_executor
 
-            return get_default_executor(n_workers).vertex_counts(
-                graph, side, chunks_per_worker=chunks_per_worker
-            )
-        except (ImportError, OSError, PermissionError):
+            return get_default_executor(n_workers).run_vertex_counts(graph, cut)
+        except (ImportError, OSError):
             obs.inc("parallel.shared_fallback")
-            executor = "process"  # platform without usable shared memory
-
-    from repro.core.local_counts import vertex_counts_panel
-
-    n = pivot_major.major_dim
-    out = np.zeros(n, dtype=np.int64)
-    work = pivot_work_estimate(pivot_major, complementary)
-    ranges = balanced_ranges(work, n_workers * chunks_per_worker)
-    if not ranges:
-        return out
-
-    if executor in ("serial", "shared") or n_workers == 1:
-        for lo, hi in ranges:
-            out[lo:hi] = vertex_counts_panel(pivot_major, complementary, lo, hi)
-        return out
-
-    if executor == "thread":
-        def run(bounds):
-            lo, hi = bounds
-            return lo, vertex_counts_panel(pivot_major, complementary, lo, hi)
-
-        with cf.ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for lo, counts in pool.map(run, ranges):
-                out[lo : lo + len(counts)] = counts
-        return out
-
-    side_value = Side.COLUMNS.value if side == "right" else Side.ROWS.value
-    initargs = (
-        side_value,
-        Reference.SUFFIX.value,  # unused by the vertex kernel
-        "adjacency",
-        pivot_major.entry_offsets(),
-        pivot_major.entries(0, pivot_major.nnz),
-        pivot_major.shape,
-        complementary.entry_offsets(),
-        complementary.entries(0, complementary.nnz),
-        complementary.shape,
-    )
-    with cf.ProcessPoolExecutor(
-        max_workers=n_workers, initializer=_worker_init, initargs=initargs
-    ) as pool:
-        for lo, counts in pool.map(_worker_vertex_range, ranges):
-            out[lo : lo + len(counts)] = counts
-    return out
+    return cut.vertex_counts()

@@ -4,11 +4,8 @@ One home for every *exact, deterministic* model of how much element work a
 family member performs on a given graph — the quantities behind the
 paper's Fig. 10 analysis, the parallel executor's load balancing, the
 blocked executor's adaptive panels, and the execution engine's cost-based
-planner.  Before this module existed the same helpers were scattered:
-``bench/workmodel.py`` reached into ``repro.core.family``'s ``_``-prefixed
-internals and ``repro.core.parallel.pivot_work_estimate``; now every
-consumer (bench, parallel, blocked, :mod:`repro.engine`) imports the
-public names from here.
+planner.  Every consumer (bench, parallel, blocked,
+:mod:`repro.engine`) imports the public names from here.
 
 Work models
 -----------

@@ -3,14 +3,12 @@
 :class:`ButterflyExecutor` owns two long-lived resources and amortises
 both across *every* parallel entry point in the package:
 
-1. **A warm process pool.**  The seed path created (and tore down) a
-   ``ProcessPoolExecutor`` per call; multi-round workloads — the peeling
-   fixpoints foremost — paid pool startup per round.  Here the pool is
-   created once, lazily, and reused until :meth:`close`.
+1. **A warm process pool.**  Created once, lazily, and reused until
+   :meth:`close`, so multi-round workloads — the peeling fixpoints
+   foremost — pay pool startup once rather than per round.
 2. **Published graphs.**  Graph buffers travel to workers through
    :class:`~repro.parallel.shm.SharedGraphBuffers` (one ``O(nnz)`` memcpy
-   into ``/dev/shm``, zero copies per worker) instead of the seed's
-   ``O(workers · nnz)`` pickling initargs.  Publications are cached per
+   into ``/dev/shm``, zero copies per worker).  Publications are cached per
    matrix object (weakly — a segment is unlinked the moment its matrix is
    garbage collected) so repeated sweeps over the same graph, e.g. the
    eight-invariant benchmark grid, publish once.
@@ -25,8 +23,8 @@ fresh subgraph per round) does not accumulate mappings.
 Failure containment: a broken pool (worker killed, fork failure) is
 rebuilt once per dispatch — each heal bumps the ``executor.pool_healed``
 counter; if shared memory itself is unavailable the caller
-(:func:`repro.core.parallel.count_butterflies_parallel`) falls back to
-the seed pickling path (``parallel.shared_fallback``).
+(:func:`repro.core.parallel.count_butterflies_parallel`) runs the same
+pivot ranges in-process (``parallel.shared_fallback``).
 
 Observability: every pool start / publish / dispatch / heal is recorded
 on the :mod:`repro.obs` registry, and when observability is enabled at
@@ -51,7 +49,6 @@ from repro import obs
 from repro.obs import profile as obs_profile
 from repro._types import COUNT_DTYPE
 from repro.core.family import Invariant, Reference, Side
-from repro.core.workinfo import matrices_for_side, resolve_invariant
 from repro.graphs.bipartite import BipartiteGraph
 from repro.parallel.shm import SharedGraphBuffers, attach_graph
 
@@ -451,57 +448,31 @@ class ButterflyExecutor:
     ) -> int:
         """Ξ_G over the warm pool; same contract as
         :func:`~repro.core.parallel.count_butterflies_parallel`."""
-        from repro.core.parallel import (
-            balanced_ranges,
-            count_range,
-            parallel_work_model,
-            wedge_shards,
-        )
+        from repro.core.parallel import count_ranges
 
-        if strategy not in ("adjacency", "scratch", "spmv", "wedge"):
-            raise ValueError(
-                f"unknown strategy {strategy!r}; expected 'adjacency', "
-                "'scratch', 'spmv' or 'wedge'"
-            )
-        reference = Reference.SUFFIX
-        if invariant is not None:
-            inv = resolve_invariant(invariant)
-            side_e, reference = inv.side, inv.reference
-        elif side is None:
-            from repro.engine import select_count_invariant
-
-            side_e = resolve_invariant(select_count_invariant(graph)).side
-        elif isinstance(side, Side):
-            side_e = side
-        else:
-            side_e = Side(side)
-        pivot_major, complementary = matrices_for_side(graph, side_e)
-        work = parallel_work_model(pivot_major, complementary, strategy, reference)
         cpw = self.chunks_per_worker if chunks_per_worker is None else chunks_per_worker
-        if strategy == "wedge":
-            ranges = wedge_shards(work, self.n_workers * cpw)
-        else:
-            ranges = balanced_ranges(work, self.n_workers * cpw)
-        if not ranges:
-            return 0
-        if self.n_workers == 1:
-            return sum(
-                count_range(pivot_major, complementary, lo, hi, reference, strategy)
-                for lo, hi in ranges
-            )
+        cut = count_ranges(graph, self.n_workers * cpw, invariant, side, strategy)
+        return self.run_count(graph, cut, strategy)
+
+    def run_count(self, graph: BipartiteGraph, cut, strategy: str) -> int:
+        """Ξ_G from a precomputed :func:`~repro.core.parallel.count_ranges`
+        decomposition of ``graph``, one pool task per range."""
+        if self.n_workers == 1 or not cut.ranges:
+            return cut.butterflies(strategy)
         meta = self._publish(graph).meta
         collect = obs.is_enabled()
+        side_value, reference_value = cut.side.value, cut.reference.value
         if strategy == "wedge":
             fn = _shm_wedge_shard
             tasks = [
-                (meta, side_e.value, reference.value, lo, hi, collect)
-                for lo, hi in ranges
+                (meta, side_value, reference_value, lo, hi, collect)
+                for lo, hi in cut.ranges
             ]
         else:
             fn = _shm_count_range
             tasks = [
-                (meta, side_e.value, reference.value, strategy, lo, hi, collect)
-                for lo, hi in ranges
+                (meta, side_value, reference_value, strategy, lo, hi, collect)
+                for lo, hi in cut.ranges
             ]
         total = 0
         for value, delta in self._map(fn, tasks):
@@ -518,30 +489,22 @@ class ButterflyExecutor:
     ) -> np.ndarray:
         """Per-vertex butterfly counts over the warm pool; same contract as
         :func:`~repro.core.local_counts.vertex_butterfly_counts`."""
-        from repro.core.local_counts import vertex_counts_panel
-        from repro.core.parallel import balanced_ranges, pivot_work_estimate
+        from repro.core.parallel import vertex_ranges
 
-        if side == "left":
-            pivot_major, complementary = graph.csr, graph.csc
-            side_value = Side.ROWS.value
-        elif side == "right":
-            pivot_major, complementary = graph.csc, graph.csr
-            side_value = Side.COLUMNS.value
-        else:
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        out = np.zeros(pivot_major.major_dim, dtype=COUNT_DTYPE)
-        work = pivot_work_estimate(pivot_major, complementary)
         cpw = self.chunks_per_worker if chunks_per_worker is None else chunks_per_worker
-        ranges = balanced_ranges(work, self.n_workers * cpw)
-        if not ranges:
-            return out
-        if self.n_workers == 1:
-            for lo, hi in ranges:
-                out[lo:hi] = vertex_counts_panel(pivot_major, complementary, lo, hi)
-            return out
+        return self.run_vertex_counts(
+            graph, vertex_ranges(graph, side, self.n_workers * cpw)
+        )
+
+    def run_vertex_counts(self, graph: BipartiteGraph, cut) -> np.ndarray:
+        """Per-vertex counts from a precomputed
+        :func:`~repro.core.parallel.vertex_ranges` decomposition."""
+        if self.n_workers == 1 or not cut.ranges:
+            return cut.vertex_counts()
+        out = np.zeros(cut.pivot_major.major_dim, dtype=COUNT_DTYPE)
         meta = self._publish(graph).meta
         collect = obs.is_enabled()
-        tasks = [(meta, side_value, lo, hi, collect) for lo, hi in ranges]
+        tasks = [(meta, cut.side.value, lo, hi, collect) for lo, hi in cut.ranges]
         for lo, counts, delta in self._map(_shm_vertex_range, tasks):
             out[lo : lo + len(counts)] = counts
             if delta:

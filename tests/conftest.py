@@ -107,3 +107,13 @@ def medium_graph():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _retire_default_executors():
+    """Leave no warm default executor behind a test module: later modules
+    count pool starts and publications from a cold start."""
+    yield
+    from repro.parallel import shutdown_default_executors
+
+    shutdown_default_executors()

@@ -6,14 +6,13 @@ The matrix crosses
 - two storage layouts ("csr" runs the graph as given; "csc" runs the
   side-swapped graph with the transpose-mapped invariant i <-> i±4, which
   exercises the opposite compressed axis for the same logical graph),
-- three executors (serial decomposition, cold process pool, warm
-  shared-memory pool), and
+- two executors (serial decomposition, warm shared-memory pool), and
 - six structurally distinct graph shapes, including the degenerate ones
   (empty, star) that historically break boundary arithmetic.
 
 Every cell must produce the *identical* global count, and the per-vertex
-sweep must match across executors element-wise.  8 x 2 x 3 x 6 = 288
-global cells plus the per-vertex block: > 250 parametrized cases.
+sweep must match across executors element-wise.  8 x 2 x 2 x 6 = 192
+global cells plus the wedge and per-vertex blocks.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ def _retire_shared_executors():
 
 INVARIANTS = list(range(1, 9))
 LAYOUTS = ("csr", "csc")
-EXECUTORS = ("serial", "process", "shared")
+EXECUTORS = ("serial", "shared")
 N_WORKERS = 2
 
 
@@ -111,7 +110,7 @@ def test_global_count_conformance(graph_name, layout, invariant, executor):
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("invariant", INVARIANTS)
-@pytest.mark.parametrize("executor", ("serial", "shared"))
+@pytest.mark.parametrize("executor", EXECUTORS)
 def test_wedge_strategy_conformance(graph_name, layout, invariant, executor):
     g = GRAPHS[graph_name]
     if layout == "csc":
@@ -130,21 +129,6 @@ def test_wedge_strategy_conformance(graph_name, layout, invariant, executor):
     )
 
 
-@pytest.mark.parametrize("graph_name", ("powerlaw", "planted"))
-@pytest.mark.parametrize("invariant", (2, 6))
-def test_wedge_strategy_process_executor(graph_name, invariant):
-    """The cold process pool on the two non-trivial graphs (sampled, as
-    in the per-vertex block, rather than crossed with the full matrix)."""
-    got = count_butterflies_parallel(
-        GRAPHS[graph_name],
-        n_workers=N_WORKERS,
-        executor="process",
-        invariant=invariant,
-        strategy="wedge",
-    )
-    assert got == REFERENCE[graph_name]
-
-
 # ----------------------------------------------------------------------
 # per-vertex conformance across executors
 # ----------------------------------------------------------------------
@@ -157,24 +141,13 @@ VERTEX_REFERENCE = {
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("side", ("left", "right"))
-@pytest.mark.parametrize("executor", ("serial", "shared"))
+@pytest.mark.parametrize("executor", EXECUTORS)
 def test_vertex_counts_conformance(graph_name, side, executor):
     got = vertex_butterfly_counts_parallel(
         GRAPHS[graph_name], side=side, n_workers=N_WORKERS, executor=executor
     )
     expected = VERTEX_REFERENCE[(graph_name, side)]
     np.testing.assert_array_equal(got, expected)
-
-
-@pytest.mark.parametrize("graph_name", ("powerlaw", "planted"))
-@pytest.mark.parametrize("side", ("left", "right"))
-def test_vertex_counts_process_executor(graph_name, side):
-    """The cold process pool on the two non-trivial graphs (it is the
-    slowest executor, so the matrix samples it rather than crossing it)."""
-    got = vertex_butterfly_counts_parallel(
-        GRAPHS[graph_name], side=side, n_workers=N_WORKERS, executor="process"
-    )
-    np.testing.assert_array_equal(got, VERTEX_REFERENCE[(graph_name, side)])
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,8 @@ The acceptance properties of the Plan→Execute pipeline:
    name the same decision.
 5. **Calibration** — measure → persist → load round-trips, and a missing
    or corrupt table degrades to the shipped defaults.
-6. **Back-compat** — ``count_butterflies(g, invariant=..., strategy=...)``
-   still answers correctly and emits exactly one DeprecationWarning.
+6. **Entry points** — ``count_butterflies`` and the per-member and
+   peeling entry points stay warning-free and accept plans.
 """
 
 from __future__ import annotations
@@ -233,9 +233,9 @@ class TestPinning:
 
     def test_pinned_workers_yield_parallel_plan(self, g):
         p = engine.plan(
-            g, "count", workers=2, executor="process", calibration=DEFAULTS,
+            g, "count", workers=2, executor="shared", calibration=DEFAULTS,
         )
-        assert p.workers == 2 and p.executor == "process"
+        assert p.workers == 2 and p.executor == "shared"
         assert p.execute(g) == butterflies_spec_bform(g)
 
     def test_overconstrained_pins_fall_back(self, g):
@@ -268,7 +268,7 @@ class TestPinning:
         p = engine.plan(g, "count", calibration=DEFAULTS)
         d = p.as_dict()
         assert d["label"] == p.label and json.dumps(d)
-        clone = p.with_(workers=3, executor="thread")
+        clone = p.with_(workers=3, executor="shared")
         assert clone.workers == 3 and p.workers == 1
 
 
@@ -391,16 +391,6 @@ class TestCalibration:
 # 6. backward compatibility
 # ----------------------------------------------------------------------
 class TestBackCompatShims:
-    def test_hand_picked_args_emit_single_deprecation_warning(self):
-        g = power_law_bipartite(30, 40, 200, seed=8)
-        expected = butterflies_spec_bform(g)
-        with pytest.warns(DeprecationWarning) as record:
-            assert count_butterflies(g, invariant=5) == expected
-        assert len(record) == 1
-        with pytest.warns(DeprecationWarning) as record:
-            assert count_butterflies(g, strategy="scratch") == expected
-        assert len(record) == 1
-
     def test_auto_path_is_warning_free(self):
         g = power_law_bipartite(30, 40, 200, seed=8)
         with warnings.catch_warnings():
@@ -409,12 +399,6 @@ class TestBackCompatShims:
             count_butterflies(g, ordering="degree")
             p = engine.plan(g, "count", calibration=DEFAULTS)
             count_butterflies(g, plan=p)
-
-    def test_plan_and_handpicked_args_conflict(self):
-        g = gnm_bipartite(10, 10, 30, seed=1)
-        p = engine.plan(g, "count", calibration=DEFAULTS)
-        with pytest.raises(ValueError, match="not both"):
-            count_butterflies(g, invariant=2, plan=p)
 
     def test_expert_entry_point_stays_warning_free(self):
         g = gnm_bipartite(20, 20, 80, seed=2)
@@ -436,13 +420,13 @@ class TestBackCompatShims:
         assert k_wing(g, 2, plan=wing_plan).n_edges == k_wing(g, 2).n_edges
 
     def test_workmodel_import_untangled(self):
-        """Satellite: the work model lives in core.workinfo; the bench
-        module and the parallel balancer consume the same public API."""
-        from repro.bench import workmodel
+        """The work model lives in core.workinfo; the bench package and
+        the parallel balancer consume the same public API."""
+        from repro import bench
         from repro.core import parallel, workinfo
 
-        assert workmodel.work_profile is workinfo.work_profile
-        assert workmodel.WorkProfile is workinfo.WorkProfile
+        assert bench.work_profile is workinfo.work_profile
+        assert bench.WorkProfile is workinfo.WorkProfile
         assert parallel.pivot_work_estimate is workinfo.pivot_work_estimate
         assert parallel.spmv_scan_lengths is workinfo.spmv_scan_lengths
 

@@ -8,8 +8,9 @@ Three failure classes, each with a documented containment behaviour:
   the ``executor.pool_healed`` metric.
 - **Publish failure** (``/dev/shm`` unavailable / quota) — the shared
   path raises ``OSError`` on the owner side;
-  :func:`count_butterflies_parallel` falls back to the seed pickling
-  executor and records ``parallel.shared_fallback``.
+  :func:`count_butterflies_parallel` runs the same pivot ranges
+  in-process (no process pool is built) and records
+  ``parallel.shared_fallback``.
 - **Worker-side attach failure** — the segment exists but a worker
   cannot map it; the task's ``OSError`` propagates through the pool and
   triggers the same documented fallback.
@@ -20,9 +21,11 @@ by reference (``tests`` is a package).
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import os
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -128,15 +131,29 @@ def test_persistent_killer_exhausts_single_heal(graph):
 
 
 # ----------------------------------------------------------------------
-# publish failure -> documented fallback to the seed process executor
+# publish failure -> documented in-process fallback
 # ----------------------------------------------------------------------
-def test_publish_failure_falls_back_to_process(monkeypatch, graph, expected):
-    shutdown_default_executors()  # drop any cached publication of `graph`
+def _forbid_process_pools(monkeypatch):
+    """Make building any ``ProcessPoolExecutor`` fail the test: the
+    fallback must run in-process, never on a fresh pool."""
 
-    def _refuse(cls_graph):
+    def _refuse(*args, **kwargs):
+        raise AssertionError("fallback path built a ProcessPoolExecutor")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse)
+
+
+def _refuse_publish(monkeypatch):
+    def _refuse(graph):
         raise OSError("simulated: shared memory unavailable")
 
     monkeypatch.setattr(SharedGraphBuffers, "publish", staticmethod(_refuse))
+
+
+def test_publish_failure_falls_back_to_serial(monkeypatch, graph, expected):
+    shutdown_default_executors()  # drop any cached publication of `graph`
+    _refuse_publish(monkeypatch)
+    _forbid_process_pools(monkeypatch)
     try:
         with obs.capture() as metrics:
             got = count_butterflies_parallel(
@@ -151,18 +168,13 @@ def test_publish_failure_falls_back_to_process(monkeypatch, graph, expected):
 
 def test_publish_failure_vertex_counts_falls_back(monkeypatch, graph):
     shutdown_default_executors()
-    monkeypatch.setattr(
-        SharedGraphBuffers,
-        "publish",
-        staticmethod(lambda g: (_ for _ in ()).throw(OSError("no shm"))),
-    )
+    _refuse_publish(monkeypatch)
+    _forbid_process_pools(monkeypatch)
     try:
         with obs.capture() as metrics:
             got = vertex_butterfly_counts_parallel(
                 graph, side="left", n_workers=2, executor="shared"
             )
-        import numpy as np
-
         np.testing.assert_array_equal(
             got, vertex_butterfly_counts(graph, side="left")
         )
@@ -179,6 +191,7 @@ def test_worker_attach_failure_falls_back(monkeypatch, graph, expected):
     inherits a broken attach path; the resulting OSError propagates
     through ``pool.map`` and lands in the documented fallback."""
     import repro.parallel.executor as executor_mod
+    from repro.parallel import get_default_executor
 
     shutdown_default_executors()  # force a fresh (post-patch) fork
 
@@ -186,6 +199,10 @@ def test_worker_attach_failure_falls_back(monkeypatch, graph, expected):
         raise OSError("simulated: cannot map segment")
 
     monkeypatch.setattr(executor_mod, "attach_graph", _broken_attach)
+    # build the shared pool up front; its workers fork (with the broken
+    # attach) on the first dispatch.  Any further pool is the fallback's.
+    get_default_executor(2)._ensure_pool()
+    _forbid_process_pools(monkeypatch)
     try:
         with obs.capture() as metrics:
             got = count_butterflies_parallel(

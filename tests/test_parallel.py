@@ -68,20 +68,12 @@ def test_pivot_work_estimate_is_exact_wedge_count(medium_graph):
 
 
 # ----------------------------------------------------------------- executors
-@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize("executor", ["serial", "shared"])
 def test_executors_match_sequential(executor, corpus):
     for name, g in corpus:
         assert count_butterflies_parallel(
             g, n_workers=3, executor=executor
         ) == count_butterflies(g), (name, executor)
-
-
-def test_process_executor_matches(medium_graph):
-    expected = count_butterflies(medium_graph)
-    got = count_butterflies_parallel(
-        medium_graph, n_workers=2, executor="process"
-    )
-    assert got == expected
 
 
 def test_side_override():
@@ -93,7 +85,7 @@ def test_side_override():
 
 def test_single_worker_shortcuts_to_serial():
     g = tiny_named_graphs()["k33"]
-    assert count_butterflies_parallel(g, n_workers=1, executor="process") == 9
+    assert count_butterflies_parallel(g, n_workers=1, executor="shared") == 9
 
 
 def test_empty_graph_parallel():
@@ -108,6 +100,12 @@ def test_invalid_executor():
     g = tiny_named_graphs()["k33"]
     with pytest.raises(ValueError, match="executor"):
         count_butterflies_parallel(g, executor="gpu")
+
+
+def test_removed_process_executor_names_the_valid_ones():
+    g = tiny_named_graphs()["k33"]
+    with pytest.raises(ValueError, match="'shared' or 'serial'"):
+        count_butterflies_parallel(g, n_workers=2, executor="process")
 
 
 def test_invalid_worker_count():
@@ -131,22 +129,6 @@ def test_parallel_per_invariant_grid(invariant, strategy, medium_graph):
     assert got == expected
 
 
-def test_parallel_invariant_through_process_pool(medium_graph):
-    expected = count_butterflies(medium_graph)
-    assert count_butterflies_parallel(
-        medium_graph, n_workers=2, executor="process", invariant=5,
-        strategy="spmv",
-    ) == expected
-
-
-def test_parallel_invariant_through_thread_pool(medium_graph):
-    expected = count_butterflies(medium_graph)
-    assert count_butterflies_parallel(
-        medium_graph, n_workers=2, executor="thread", invariant=4,
-        strategy="spmv",
-    ) == expected
-
-
 def test_parallel_invalid_strategy():
     g = tiny_named_graphs()["k33"]
     with pytest.raises(ValueError, match="strategy"):
@@ -154,7 +136,7 @@ def test_parallel_invalid_strategy():
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "shared"])
 def test_vertex_counts_parallel(side, executor, medium_graph):
     from repro.core import (
         vertex_butterfly_counts,
@@ -194,7 +176,7 @@ def test_chunks_per_worker_does_not_change_result(medium_graph):
     expected = count_butterflies(medium_graph)
     for cpw in (1, 2, 8):
         assert count_butterflies_parallel(
-            medium_graph, n_workers=2, executor="thread", chunks_per_worker=cpw
+            medium_graph, n_workers=2, executor="shared", chunks_per_worker=cpw
         ) == expected
 
 
@@ -296,7 +278,7 @@ def test_wedge_shards_default_budget_matches_constant():
 
 def test_count_wedge_strategy_matches_family(medium_graph):
     expected = count_butterflies(medium_graph)
-    for executor in ("serial", "thread", "process"):
+    for executor in ("serial", "shared"):
         for invariant in (2, 6):
             got = count_butterflies_parallel(
                 medium_graph,

@@ -10,6 +10,7 @@ from repro.baselines import (
     sparsify_bernoulli,
     sparsify_colorful,
 )
+from repro import engine
 from repro.core import count_butterflies, tip_numbers, tip_numbers_bucket
 from repro.graphs import (
     BipartiteGraph,
@@ -180,8 +181,8 @@ def test_count_ordering_with_explicit_invariant():
     g = power_law_bipartite(30, 40, 180, seed=9)
     expected = count_butterflies(g)
     for inv in (1, 4, 5, 8):
-        with pytest.warns(DeprecationWarning):  # legacy hand-picked form
-            got = count_butterflies(g, invariant=inv, ordering="degree")
+        plan = engine.plan(g, invariant=inv, family_only=True, executor="serial")
+        got = count_butterflies(g, ordering="degree", plan=plan)
         assert got == expected
 
 
