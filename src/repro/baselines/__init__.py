@@ -30,8 +30,8 @@ from repro.baselines.sparsify import (
     sparsify_bernoulli,
     sparsify_colorful,
 )
-from repro.baselines.vertex_priority import (
-    count_butterflies_vertex_priority,
+from repro.core.priority import (
+    count_butterflies_priority as count_butterflies_vertex_priority,
     priority_ranks,
 )
 from repro.baselines.wang2014 import (

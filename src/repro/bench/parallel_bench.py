@@ -145,7 +145,8 @@ def _planner_regret_section(repeats: int) -> dict:
     execution; the baseline is the best-of grid over the hand-picked
     family members (invariants 2/6 × the three unblocked strategies,
     plus the blocked panel kernel at its default width and the serial
-    wedge-partitioned shard walk).  The planner
+    wedge-partitioned shard walk, plus the side-free vertex-priority
+    kernel).  The planner
     runs with a *measured* calibration table (``calibrate(repeats=1)``,
     not persisted) — the shipped defaults are deliberately generic, and
     this section grades the engine as deployed: calibrated once per
@@ -158,7 +159,11 @@ def _planner_regret_section(repeats: int) -> dict:
     as lower-is-better.
     """
     from repro import engine
-    from repro.core import count_butterflies_blocked, count_butterflies_unblocked
+    from repro.core import (
+        count_butterflies_blocked,
+        count_butterflies_priority,
+        count_butterflies_unblocked,
+    )
 
     g = power_law_bipartite(800, 1_000, 20_000, seed=9)
     table = engine.calibrate(repeats=1, persist=False)
@@ -192,6 +197,9 @@ def _planner_regret_section(repeats: int) -> dict:
         )
         hand_picked[f"inv{number}-wedge"] = t
         assert v == expected
+    t, v = _best_of(lambda: count_butterflies_priority(g), repeats)
+    hand_picked["priority"] = t
+    assert v == expected
 
     def auto():
         return engine.plan(g, "count", calibration=table).execute(g)

@@ -87,7 +87,11 @@ def _load(spec: str) -> BipartiteGraph:
                 f"bad empty-graph spec {spec!r}; expected empty:MxN"
             ) from None
         return BipartiteGraph.empty(m, n)
-    return load_konect(spec)
+    try:
+        return load_konect(spec)
+    except ValueError as exc:  # names the file, line and offending token
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,8 +18,10 @@ coefficients on small synthetic graphs, and JSON persistence under
 
 Coefficients
 ------------
-``ns_per_op.{adjacency,scratch,spmv,blocked,wedge}``
-    Nanoseconds per modeled element operation of each strategy's kernel.
+``ns_per_op.{adjacency,scratch,spmv,blocked,wedge,priority}``
+    Nanoseconds per modeled element operation of each strategy's kernel
+    (for ``priority``, per bounded wedge after the joint-rank relabel,
+    which is charged at ``reorder_ns_per_edge``).
 ``ns_per_pivot.{adjacency,scratch,spmv}``
     Per-iteration interpreter overhead of the unblocked loop.
 ``ns_per_panel``
@@ -68,6 +70,7 @@ DEFAULT_COEFFICIENTS: dict = {
         "spmv": 2.5,
         "blocked": 3.5,
         "wedge": 4.0,
+        "priority": 4.0,
         "stream": 12.0,
     },
     "ns_per_pivot": {
@@ -386,6 +389,20 @@ def calibrate(
         # ratio must not convince the planner reorder halves (or doubles)
         # kernel time
         coeffs["reorder_gain"] = min(max(t_re / t_raw, 0.6), 1.25)
+
+    # priority: the heavy graph's wedge bound pins ns_per_op.priority once
+    # the relabel share (charged at the reorder build rate just measured)
+    # is taken out
+    from repro.core.priority import (
+        count_butterflies_priority,
+        priority_wedge_bound,
+    )
+
+    t_vp = _best_of(lambda: count_butterflies_priority(heavy), repeats)
+    relabel_s = heavy.n_edges * coeffs["reorder_ns_per_edge"] * 1e-9
+    coeffs["ns_per_op"]["priority"] = max(
+        (t_vp - relabel_s) / max(priority_wedge_bound(heavy), 1) * 1e9, 0.05
+    )
 
     # compact decode: the per-endpoint surcharge over the raw layout
     compact = CompactCSR(heavy)

@@ -43,13 +43,16 @@ STREAM_STRATEGIES: tuple[str, ...] = ("incremental", "recount")
 #: unblocked family strategies; ``"blocked"`` is the panel derivation
 #: (its reduction method rides in :attr:`Plan.method`); ``"wedge"`` is the
 #: wedge-partitioned path — contiguous pivot shards of equal wedge work
-#: reduced with the fused panel kernel, usually paired with a pool.
+#: reduced with the fused panel kernel, usually paired with a pool;
+#: ``"priority"`` is the side-free vertex-priority kernel
+#: (:func:`repro.core.priority.count_butterflies_priority`), serial only.
 COUNT_STRATEGIES: tuple[str, ...] = (
     "adjacency",
     "scratch",
     "spmv",
     "blocked",
     "wedge",
+    "priority",
 )
 
 #: Executors a plan may select (same vocabulary as
@@ -136,7 +139,7 @@ class Plan:
         bits = []
         if self.invariant is not None:
             bits.append(f"inv{self.invariant}")
-        else:
+        elif self.strategy != "priority":  # the one side-free kernel
             bits.append(self.side)
         bits.append(self.strategy)
         if self.strategy == "blocked" and self.block_size:

@@ -65,6 +65,10 @@ DEFAULT_MAX_WORKERS = 6
 #: so one representative per side spans the whole decision space).
 _AUTO_INVARIANTS = (2, 6)
 
+#: Strategies scored once per family side; ``"priority"`` is side-free
+#: and gets its own single row.
+_SIDED_STRATEGIES = tuple(s for s in COUNT_STRATEGIES if s != "priority")
+
 #: Default wedge-work budget used to SIZE panels (elements).  Smaller
 #: than the executor's transient-memory cap
 #: (:data:`repro.core.blocked.DEFAULT_PANEL_WORK_BUDGET`) on purpose: the
@@ -278,7 +282,9 @@ def _count_candidates(
         invariants.reverse()
     unblocked = ("adjacency", "scratch", "spmv")
     if strategy is None:
-        strategies = unblocked if family_only else COUNT_STRATEGIES
+        strategies = unblocked if family_only else _SIDED_STRATEGIES
+    elif strategy == "priority":
+        strategies = ()
     else:
         strategies = (strategy,)
     pool_workers = _pool_workers(workers)
@@ -293,7 +299,7 @@ def _count_candidates(
 
     out: list[Plan] = []
     works: dict[int, _SideWork] = {}
-    for number in invariants:
+    for number in invariants if strategies else ():
         work = works[number] = _SideWork(graph, number)
         inv = work.invariant
         side = "right" if inv.storage == "csc" else "left"
@@ -377,7 +383,33 @@ def _count_candidates(
         expanded.extend(
             _layout_rows(cand, works[cand.invariant], cal, layout)
         )
+    if (
+        strategy in (None, "priority") and invariant is None
+        and not family_only and emit_serial and layout in (None, "raw")
+    ):
+        expanded.append(_priority_row(graph, cal))
     return expanded
+
+
+def _priority_row(graph, cal) -> Plan:
+    """The serial vertex-priority candidate (side-free, raw layout).
+
+    ``modeled_ops`` is the O(nnz) upper bound on its wedges; the estimate
+    charges the joint-rank relabel at the reorder build rate.
+    """
+    from repro.core.priority import priority_wedge_bound
+
+    ops = priority_wedge_bound(graph)
+    relabel = graph.n_edges * cal.reorder_ns_per_edge * 1e-9
+    return Plan(
+        workload="count", invariant=None, storage="csr",
+        strategy="priority", executor="serial", workers=1,
+        modeled_ops=ops,
+        est_seconds=relabel + ops * cal.ns_per_op("priority") * 1e-9,
+        reason="vertex-priority wedges charged to their top-ranked vertex "
+               f"(≤{ops:,}) after a {relabel * 1e3:.2f} ms joint-rank "
+               "relabel",
+    )
 
 
 def _vertex_candidates(

@@ -47,40 +47,97 @@ def load_konect(path: str | os.PathLike) -> BipartiteGraph:
     otherwise sizes are inferred from the maximum ids.  Duplicate edges are
     merged; weights/timestamps in trailing columns are ignored (the paper's
     algorithms operate on the unweighted pattern).
+
+    A file that cannot load — a line with fewer than two ids, a
+    non-integer id, an id below 1, or an id beyond the size header —
+    raises ``ValueError`` naming the path, the 1-based line number and the
+    offending token or id.
     """
     n_left = n_right = None
     lefts: list[int] = []
     rights: list[int] = []
+    try:
+        with _open_text(path, "r") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("%"):
+                    body = line[1:].split()
+                    # the KONECT size line is "% nnz m n" — all integers
+                    if len(body) == 3 and all(tok.isdigit() for tok in body):
+                        n_left, n_right = int(body[1]), int(body[2])
+                    continue
+                parts = line.split()
+                if len(parts) < 2:
+                    raise ValueError(f"malformed edge line: {line!r}")
+                lefts.append(int(parts[0]))
+                rights.append(int(parts[1]))
+        if lefts:
+            rows = np.asarray(lefts, dtype=INDEX_DTYPE) - 1
+            cols = np.asarray(rights, dtype=INDEX_DTYPE) - 1
+            if rows.min() < 0 or cols.min() < 0:
+                raise ValueError("KONECT files are 1-based")
+        else:
+            rows = np.empty(0, dtype=INDEX_DTYPE)
+            cols = np.empty(0, dtype=INDEX_DTYPE)
+        if n_left is None:
+            n_left = int(rows.max()) + 1 if rows.size else 0
+            n_right = int(cols.max()) + 1 if cols.size else 0
+        coo = PatternCOO(rows, cols, (n_left, n_right))
+    except ValueError as exc:
+        raise _konect_error(path, exc) from None
+    return BipartiteGraph(coo.canonicalize())
+
+
+def _konect_error(path: str | os.PathLike, cause: ValueError) -> ValueError:
+    """The error naming the first line of ``path`` that cannot load.
+
+    Re-scans the file, so only the error path pays for line numbers; the
+    rules are :func:`load_konect`'s.  Falls back to ``cause``, prefixed
+    with the path, when no line is at fault.
+    """
+    n_left = n_right = None
     with _open_text(path, "r") as fh:
         for line in fh:
             line = line.strip()
-            if not line:
+            body = line[1:].split()
+            if line.startswith("%") and len(body) == 3 and all(
+                tok.isdigit() for tok in body
+            ):
+                n_left, n_right = int(body[1]), int(body[2])
+    with _open_text(path, "r") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("%"):
                 continue
-            if line.startswith("%"):
-                body = line[1:].split()
-                # the KONECT size line is "% nnz m n" — all integers
-                if len(body) == 3 and all(tok.isdigit() for tok in body):
-                    n_left, n_right = int(body[1]), int(body[2])
-                continue
+            where = f"{path}:{lineno}"
             parts = line.split()
             if len(parts) < 2:
-                raise ValueError(f"malformed edge line: {line!r}")
-            lefts.append(int(parts[0]))
-            rights.append(int(parts[1]))
-    if lefts:
-        rows = np.asarray(lefts, dtype=INDEX_DTYPE) - 1
-        cols = np.asarray(rights, dtype=INDEX_DTYPE) - 1
-        if rows.min() < 0 or cols.min() < 0:
-            raise ValueError("KONECT files are 1-based; found a 0 id")
-    else:
-        rows = np.empty(0, dtype=INDEX_DTYPE)
-        cols = np.empty(0, dtype=INDEX_DTYPE)
-    if n_left is None:
-        n_left = int(rows.max()) + 1 if rows.size else 0
-        n_right = int(cols.max()) + 1 if cols.size else 0
-    return BipartiteGraph(
-        PatternCOO(rows, cols, (n_left, n_right)).canonicalize()
-    )
+                return ValueError(
+                    f"{where}: malformed edge line {line!r}: expected two "
+                    "vertex ids"
+                )
+            for side, tok, size in (
+                ("left", parts[0], n_left), ("right", parts[1], n_right),
+            ):
+                try:
+                    vid = int(tok)
+                except ValueError:
+                    return ValueError(
+                        f"{where}: {side} vertex id {tok!r} is not an integer"
+                    )
+                if vid < 1:
+                    return ValueError(
+                        f"{where}: {side} vertex id {vid} is below 1 "
+                        "(KONECT files are 1-based)"
+                    )
+                if size is not None and vid > size:
+                    return ValueError(
+                        f"{where}: {side} vertex id {vid} exceeds the size "
+                        f"header's {size} {side} vertices"
+                    )
+    return ValueError(f"{path}: {cause}")
 
 
 def save_konect(graph: BipartiteGraph, path: str | os.PathLike) -> None:

@@ -26,6 +26,7 @@ from repro.sparsela.kernels import (
     PANEL_REDUCTIONS,
     choose2,
     choose2_sum,
+    gather_ranges,
     gather_slices,
     multiplicity_counts,
     panel_choose2_per_owner,
@@ -72,6 +73,7 @@ __all__ = [
     "compress_pairs",
     "expand_indptr",
     "gather_slices",
+    "gather_ranges",
     "multiplicity_counts",
     "choose2",
     "choose2_sum",

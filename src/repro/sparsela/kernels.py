@@ -3,9 +3,10 @@
 These are the hot inner loops of the package, written as whole-array NumPy
 operations per the HPC guidance (no per-element Python loops):
 
-- :func:`gather_slices` — fetch and concatenate many compressed slices at
-  once, the sparse analogue of a block gather.  Every wedge-enumeration in
-  the package bottoms out here.
+- :func:`gather_slices` / :func:`gather_ranges` — fetch and concatenate
+  many compressed slices (or arbitrary index ranges) at once, the sparse
+  analogue of a block gather.  Every wedge-enumeration in the package
+  bottoms out here.
 - :func:`multiplicity_counts` — multiset → (values, counts), used to turn a
   wedge list into per-endpoint wedge counts.
 - :func:`choose2_sum` / :func:`choose2` — the Σ C(x, 2) reduction that turns
@@ -24,6 +25,7 @@ from repro.sparsela._compressed import CompressedPattern
 
 __all__ = [
     "gather_slices",
+    "gather_ranges",
     "multiplicity_counts",
     "choose2",
     "choose2_sum",
@@ -42,9 +44,8 @@ def gather_slices(
 ) -> np.ndarray:
     """Concatenate ``indices[indptr[i]:indptr[i+1]]`` for every ``i`` in ``ids``.
 
-    Fully vectorised: builds a single gather-index array with the standard
-    ``repeat + cumsum`` trick, then performs one fancy-index read.  The
-    output preserves the order of ``ids`` and the order within each slice.
+    The output preserves the order of ``ids`` and the order within each
+    slice; the gather itself is :func:`gather_ranges`.
 
     This is the workhorse of wedge enumeration: for a vertex ``v`` with
     neighbourhood ``N(v)``, ``gather_slices(other.indptr, other.indices,
@@ -54,14 +55,27 @@ def gather_slices(
     if ids.size == 0:
         return np.empty(0, dtype=indices.dtype)
     starts = indptr[ids]
-    lengths = indptr[ids + 1] - starts
+    return gather_ranges(indices, starts, indptr[ids + 1] - starts)
+
+
+def gather_ranges(
+    indices: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Concatenate ``indices[starts[k] : starts[k] + lengths[k]]`` for every ``k``.
+
+    Fully vectorised: builds a single gather-index array with the standard
+    ``repeat + cumsum`` trick, then performs one fancy-index read.  The
+    ranges need not be whole slices, which is what the vertex-priority
+    kernel needs (a rank-sorted slice cut at the owner's position).
+    """
+    lengths = np.asarray(lengths, dtype=INDEX_DTYPE)
     total = int(lengths.sum(dtype=INDEX_DTYPE))
     if total == 0:
         return np.empty(0, dtype=indices.dtype)
-    # offsets[k] = position in the output where slice k begins
-    offsets = np.zeros(len(ids), dtype=INDEX_DTYPE)
+    # offsets[k] = position in the output where range k begins
+    offsets = np.zeros(len(lengths), dtype=INDEX_DTYPE)
     np.cumsum(lengths[:-1], out=offsets[1:])
-    # gather index: for output position p in slice k,
+    # gather index: for output position p in range k,
     #   src[p] = starts[k] + (p - offsets[k])
     src = np.repeat(starts - offsets, lengths) + np.arange(total, dtype=INDEX_DTYPE)
     out = indices[src]

@@ -57,6 +57,17 @@ def test_count_rejects_bad_invariant(konect_file):
         main(["count", konect_file, "--invariant", "9"])
 
 
+def test_count_bad_input_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.konect"
+    path.write_text("1 1\n2 x\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["count", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{path}:2:" in err and "'x'" in err
+
+
 def test_peel_tip(konect_file, capsys):
     assert main(["peel", konect_file, "--k", "1"]) == 0
     assert "-tip" in capsys.readouterr().out

@@ -12,7 +12,7 @@ The matrix crosses
 
 Every cell must produce the *identical* global count, and the per-vertex
 sweep must match across executors element-wise.  8 x 2 x 2 x 6 = 192
-global cells plus the wedge and per-vertex blocks.
+global cells plus the wedge, vertex-priority and per-vertex blocks.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import pytest
 from repro.core import (
     count_butterflies,
     count_butterflies_parallel,
+    count_butterflies_priority,
     vertex_butterfly_counts,
     vertex_butterfly_counts_parallel,
 )
@@ -127,6 +128,18 @@ def test_wedge_strategy_conformance(graph_name, layout, invariant, executor):
         f"wedge cell (graph={graph_name}, inv={invariant}, layout={layout}, "
         f"executor={executor}) = {got}, reference = {REFERENCE[graph_name]}"
     )
+
+
+# ----------------------------------------------------------------------
+# vertex-priority kernel: side-free, so one cell per graph and layout
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_priority_conformance(graph_name, layout):
+    g = GRAPHS[graph_name]
+    if layout == "csc":
+        g = g.swap_sides()
+    assert count_butterflies_priority(g) == REFERENCE[graph_name]
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,7 @@ from repro.core import (
     count_butterflies_unblocked,
     k_tip,
     k_wing,
+    priority_wedge_bound,
 )
 from repro.core.local_counts import vertex_butterfly_counts
 from repro.engine import (
@@ -374,7 +375,9 @@ class TestCalibration:
         path = str(tmp_path / "measured.json")
         table = calibrate(path=path, repeats=1, persist=True)
         assert table.calibrated and table.source == path
-        for strategy in ("adjacency", "scratch", "spmv", "blocked", "wedge"):
+        for strategy in (
+            "adjacency", "scratch", "spmv", "blocked", "wedge", "priority",
+        ):
             assert table.ns_per_op(strategy) > 0
         assert table.ns_per_panel > 0
         assert table.ns_per_shard > 0
@@ -384,6 +387,71 @@ class TestCalibration:
         # a calibrated table still plans correctly
         g = power_law_bipartite(50, 60, 400, seed=6)
         p = engine.plan(g, "count", calibration=table)
+        assert p.execute(g) == butterflies_spec_bform(g)
+
+
+# ----------------------------------------------------------------------
+# 5b. the vertex-priority candidate
+# ----------------------------------------------------------------------
+class TestPriorityCandidate:
+    @pytest.fixture(scope="class")
+    def g(self):
+        return power_law_bipartite(60, 80, 600, seed=4)
+
+    @staticmethod
+    def _strategies(cands):
+        return {c.strategy for c in cands}
+
+    def test_dense_power_law_plans_priority(self):
+        g = power_law_bipartite(3000, 4000, 150000, seed=7)
+        p = engine.plan(g, "count", calibration=DEFAULTS)
+        assert p.label == "priority-serial"
+        assert (p.executor, p.workers, p.layout) == ("serial", 1, "raw")
+        assert p.execute(g) == 133_837_830
+
+    def test_wide_gnm_keeps_blocked(self):
+        g = gnm_bipartite(2000, 400000, 600000, seed=11)
+        p = engine.plan(g, "count", calibration=DEFAULTS)
+        assert p.label == "inv6-blocked-b349-serial"
+        assert "priority" in self._strategies(p.candidates)
+
+    def test_modeled_ops_is_the_wedge_bound(self, g):
+        (row,) = [
+            c for c in candidate_plans(g, "count", calibration=DEFAULTS)
+            if c.strategy == "priority"
+        ]
+        assert row.modeled_ops == priority_wedge_bound(g)
+        assert row.invariant is None and row.label == "priority-serial"
+
+    def test_open_and_serial_pins_emit_one_row(self, g):
+        for pins in ({}, {"executor": "serial"}, {"workers": 1},
+                     {"layout": "raw"}, {"strategy": "priority"}):
+            cands = candidate_plans(g, "count", calibration=DEFAULTS, **pins)
+            rows = [c for c in cands if c.strategy == "priority"]
+            assert len(rows) == 1, pins
+
+    @pytest.mark.parametrize("pins", [
+        {"family_only": True},
+        {"family_only": True, "layout": "raw"},
+        {"executor": "shared", "workers": 2},
+        {"workers": 2},
+        {"layout": "reorder"},
+        {"layout": "compact"},
+        {"invariant": 6},
+        {"strategy": "blocked"},
+    ])
+    def test_no_priority_row_under_pins(self, g, pins):
+        cands = candidate_plans(g, "count", calibration=DEFAULTS, **pins)
+        assert "priority" not in self._strategies(cands)
+
+    @pytest.mark.parametrize("workload", ["tip", "vertex-counts"])
+    def test_no_priority_row_for_per_vertex_workloads(self, g, workload):
+        cands = candidate_plans(g, workload, k=1, calibration=DEFAULTS)
+        assert "priority" not in self._strategies(cands)
+
+    def test_pinned_priority_executes_exactly(self, g):
+        p = engine.plan(g, "count", strategy="priority", calibration=DEFAULTS)
+        assert p.label == "priority-serial"
         assert p.execute(g) == butterflies_spec_bform(g)
 
 

@@ -70,6 +70,27 @@ def test_konect_rejects_malformed_line(tmp_path):
         load_konect(path)
 
 
+def test_konect_negative_id_names_file_line_and_id(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("1 1\n-3 2\n")
+    with pytest.raises(ValueError, match=r"g\.tsv:2: .*id -3 .*1-based"):
+        load_konect(path)
+
+
+def test_konect_non_integer_token_names_file_line_and_token(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("% bip unweighted\n1 1\n2 x\n")
+    with pytest.raises(ValueError, match=r"g\.tsv:3: .*'x' is not an integer"):
+        load_konect(path)
+
+
+def test_konect_id_beyond_size_header_names_file_line_and_id(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("% 2 1 1\n1 1\n2 2\n")
+    with pytest.raises(ValueError, match=r"g\.tsv:3: left vertex id 2 exceeds"):
+        load_konect(path)
+
+
 def test_konect_gzip_roundtrip(tmp_path):
     g = gnm_bipartite(8, 9, 30, seed=5)
     path = tmp_path / "g.konect.gz"

@@ -8,6 +8,7 @@ from repro.sparsela import (
     PatternCSR,
     choose2,
     choose2_sum,
+    gather_ranges,
     gather_slices,
     multiplicity_counts,
     segment_sums,
@@ -46,6 +47,13 @@ def test_gather_slices_preserves_order_and_multiplicity():
     m = PatternCSR.from_pairs([(0, 1), (0, 2), (1, 0)], shape=(2, 3))
     got = gather_slices(m.indptr, m.indices, np.array([1, 0, 1]))
     assert got.tolist() == [0, 1, 2, 0]
+
+
+def test_gather_ranges_takes_partial_and_empty_ranges():
+    indices = np.arange(10, 20, dtype=np.int64)
+    got = gather_ranges(indices, np.array([2, 0, 7]), np.array([1, 0, 3]))
+    assert got.tolist() == [12, 17, 18, 19]
+    assert gather_ranges(indices, np.array([4]), np.array([0])).size == 0
 
 
 def test_multiplicity_counts():
