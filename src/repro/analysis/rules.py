@@ -908,7 +908,7 @@ class StorageAccessorDisciplineRule(Rule):
     """Kernels read compressed structure through the accessor protocol.
 
     The storage layer (:mod:`repro.storage`) substitutes compressed /
-    reordered / mmap-backed pattern views for the raw int64 arrays, which
+    mmap-backed pattern views for the raw int64 arrays, which
     only works because kernels ask for structure through the accessor
     protocol (``slice`` / ``gather`` / ``panel_indices`` / ``degrees_of``
     / ``entries`` / ``entry_offsets`` / ...) rather than touching

@@ -371,30 +371,39 @@ def _drift_section(repeats: int) -> dict:
     """Cost-model drift: execute planned runs, then read the ledger back.
 
     Runs a handful of planned executions with observability on so
-    ``engine.execute`` appends real (est, actual) pairs to the
-    persistent ledger, then summarises it via ``engine.drift_report()``
-    — the same data ``repro-butterfly explain --drift`` renders.
+    ``engine.execute`` appends real (est, actual) pairs to the ledger
+    named by ``REPRO_DRIFT_LEDGER`` (a throwaway one when none is named),
+    then summarises it via ``engine.drift_report()`` — the same data
+    ``repro-butterfly explain --drift`` renders.
     """
+    import tempfile
+    from unittest import mock
+
     from repro import engine, obs
+    from repro.engine.drift import DRIFT_LEDGER_ENV, drift_ledger_path
 
     g = power_law_bipartite(800, 1_000, 20_000, seed=9)
     table = engine.calibrate(repeats=1, persist=False)
+    named = drift_ledger_path()
     was_enabled = obs._enabled
-    if not was_enabled:
-        obs.enable()
-    try:
-        expected = None
-        for _ in range(max(repeats, 2)):
-            value = engine.plan(g, "count", calibration=table).execute(g)
-            if expected is None:
-                expected = value
-            assert value == expected, "planned executions disagree"
-    finally:
+    with tempfile.TemporaryDirectory() as tmp:
+        ledger = named or os.path.join(tmp, "plan_drift.jsonl")
         if not was_enabled:
-            obs.disable()
-    report = engine.drift_report()
+            obs.enable()
+        try:
+            with mock.patch.dict(os.environ, {DRIFT_LEDGER_ENV: ledger}):
+                expected = None
+                for _ in range(max(repeats, 2)):
+                    value = engine.plan(g, "count", calibration=table).execute(g)
+                    if expected is None:
+                        expected = value
+                    assert value == expected, "planned executions disagree"
+        finally:
+            if not was_enabled:
+                obs.disable()
+        report = engine.drift_report(path=ledger)
     return {
-        "ledger": report["path"],
+        "ledger": named,
         "records": report["count"],
         "median_rel_error": report["median_rel_error"],
         "mean_rel_error": report["mean_rel_error"],
@@ -402,79 +411,34 @@ def _drift_section(repeats: int) -> dict:
     }
 
 
-def _storage_section(repeats: int) -> dict:
-    """The storage axis: locality speedup, publication shrink, auto choice.
+def _storage_section() -> dict:
+    """The storage axis: publication shrink and the planner's choice.
 
-    Four claims, measured on the power-law 3k×4k/150k preset (index
-    working set ≈ 1.2 MB — past L2 on the reference machines, so
-    layout-induced locality differences are visible):
+    Measured on the power-law 3k×4k/150k preset:
 
-    - ``reorder_speedup_ratio`` (raw ÷ reorder wall-clock, best strategy;
-      higher is better): the degree-ordered relabeling must win on at
-      least one exact counting strategy.  Kernel-only — the storage
-      objects are prebuilt, exactly as a warm executor holds them; the
-      planner's cost model charges the one-off relabel separately.
     - ``publish_bytes`` (lower is better): the shared-memory segment
       footprint when the compact layout is published, next to the raw
       footprint it replaces — ``bench --compare`` trips when the varint
       codec regresses.
-    - ``auto_layout``: which layout the planner picks unpinned — the
-      storage axis competing on cost-model merit.
-    - ``cachesim_locality_ratio`` (reorder ÷ raw modelled hit rate,
-      deterministic): the cache-model validation of *why* the relabeling
-      wins, on a small replayable graph.
+    - ``planner_choice``: the serial plan and layout the planner picks
+      unpinned (raw: compact and mmap are pin-only).
     """
     from repro import engine
-    from repro.bench.cachesim import simulate_storage_locality
-    from repro.core.blocked import count_butterflies_blocked
-    from repro.core.family import count_butterflies_unblocked
     from repro.parallel.shm import SharedGraphBuffers
     from repro.storage import make_storage
 
     g = power_law_bipartite(3_000, 4_000, 150_000, seed=7)
-    raw = make_storage(g, "raw")
-    reorder = make_storage(g, "reorder")
-    strategies = {
-        "blocked_b64": lambda s: count_butterflies_blocked(s, 2, block_size=64),
-        "scratch": lambda s: count_butterflies_unblocked(s, 2, strategy="scratch"),
-    }
-    per_strategy = {}
-    best_ratio = 0.0
-    expected = None
-    for name, fn in strategies.items():
-        t_raw, v_raw = _best_of(lambda: fn(raw), repeats)
-        t_reorder, v_reorder = _best_of(lambda: fn(reorder), repeats)
-        assert v_raw == v_reorder, f"{name}: layouts disagree"
-        if expected is None:
-            expected = v_raw
-        assert v_raw == expected, f"{name}: strategies disagree"
-        ratio = t_raw / t_reorder
-        best_ratio = max(best_ratio, ratio)
-        per_strategy[name] = {
-            "seconds_raw": t_raw,
-            "seconds_reorder": t_reorder,
-            "reorder_speedup_ratio": ratio,
-        }
-
     with SharedGraphBuffers.publish(g) as pub_raw:
         publish_bytes_raw = pub_raw.nbytes
     with SharedGraphBuffers.publish(make_storage(g, "compact")) as pub_compact:
         publish_bytes = pub_compact.nbytes
 
     chosen = engine.plan(g, "count", executor="serial")
-
-    sim = power_law_bipartite(300, 400, 8_000, seed=13)
-    hit_raw = simulate_storage_locality(sim, "raw").hit_rate
-    hit_reorder = simulate_storage_locality(sim, "reorder").hit_rate
-
     return {
         "graph": {
             "generator": "power_law_bipartite(3000, 4000, 150000, seed=7)",
             "n_edges": g.n_edges,
-            "butterflies": expected,
         },
-        "strategies": per_strategy,
-        "reorder_speedup_ratio": best_ratio,
         "publish_bytes": publish_bytes,
         "publish_bytes_raw": publish_bytes_raw,
         "publish_shrink_ratio": publish_bytes_raw / publish_bytes,
@@ -482,12 +446,6 @@ def _storage_section(repeats: int) -> dict:
             "chosen_plan": chosen.label,
             "auto_layout": chosen.layout,
         },
-        "cachesim": {
-            "graph": "power_law_bipartite(300, 400, 8000, seed=13)",
-            "hit_rate_raw": hit_raw,
-            "hit_rate_reorder": hit_reorder,
-        },
-        "cachesim_locality_ratio": hit_reorder / hit_raw,
     }
 
 
@@ -547,7 +505,7 @@ def run_benchmark(
         "stream": _stream_section(repeats),
         "profiler": _profiler_section(repeats, profile_out),
         "plan_drift": _drift_section(repeats),
-        "storage": _storage_section(repeats),
+        "storage": _storage_section(),
         "analysis": _analysis_section(),
     }
     return payload

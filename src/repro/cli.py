@@ -172,11 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument(
         "--storage",
-        choices=("auto", "raw", "reorder", "compact", "mmap"),
+        choices=("auto", "raw", "compact", "mmap"),
         default="auto",
-        help="graph storage layout (auto: the cost model decides; "
-        "reorder = degree-ordered relabeling, compact = varint-compressed "
-        "indices, mmap = out-of-core column files)",
+        help="graph storage layout (auto = raw int64 arrays; compact = "
+        "varint-compressed indices, mmap = out-of-core column files)",
     )
     p_count.add_argument(
         "--blocked",
@@ -206,15 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the engine's round plan (kernel/block size/pool) "
         "before peeling",
-    )
-    p_peel.add_argument(
-        "--storage",
-        choices=("auto", "raw", "reorder", "compact", "mmap"),
-        default="auto",
-        help="graph storage layout; peeling mutates per-round subgraphs, "
-        "so only 'auto'/'raw' and 'reorder' (peel the degree-ordered "
-        "relabeling — the kept-vertex/edge summary is label-invariant) "
-        "are supported",
     )
 
     p_explain = sub.add_parser(
@@ -249,10 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="pin the panel width")
     p_explain.add_argument(
         "--storage",
-        choices=("auto", "raw", "reorder", "compact", "mmap"),
+        choices=("auto", "raw", "compact", "mmap"),
         default="auto",
-        help="pin the storage layout (auto: raw and reorder compete on "
-        "the calibrated cost model; compact/mmap appear when pinned)",
+        help="pin the storage layout (auto = raw; compact/mmap rows "
+        "appear only when pinned)",
     )
     p_explain.add_argument(
         "--calibrate", action="store_true",
@@ -266,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explain.add_argument(
         "--ledger", default=None, metavar="PATH",
-        help="drift ledger path for --drift (default: "
-        "results/plan_drift.jsonl, or $REPRO_DRIFT_LEDGER)",
+        help="drift ledger path for --drift (default: $REPRO_DRIFT_LEDGER)",
     )
 
     p_cal = sub.add_parser(
@@ -292,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument(
         "--ledger", default=None, metavar="PATH",
         help="drift ledger consulted by --if-drifted (default: "
-        "results/plan_drift.jsonl, or $REPRO_DRIFT_LEDGER)",
+        "$REPRO_DRIFT_LEDGER)",
     )
 
     p_prof = sub.add_parser(
@@ -569,8 +558,7 @@ def _count_plan_from_args(args, g):
 
 def _layout_arg(args):
     """``--storage`` flag value → planner ``layout`` pin (auto → None)."""
-    value = getattr(args, "storage", "auto")
-    return None if value == "auto" else value
+    return None if args.storage == "auto" else args.storage
 
 
 def _describe_mode(plan) -> str:
@@ -619,21 +607,6 @@ def _cmd_peel(args) -> int:
     from repro import engine
 
     g = _load(args.graph)
-    layout = _layout_arg(args)
-    if layout in ("compact", "mmap"):
-        print(
-            "error: peeling mutates per-round subgraphs and needs an "
-            "in-memory raw (or reordered) graph; use --storage auto, raw "
-            "or reorder",
-            file=sys.stderr,
-        )
-        return 2
-    if layout == "reorder":
-        # peel the degree-ordered relabeling: the kept-vertex/edge summary
-        # printed below is invariant under vertex relabeling
-        from repro.storage import ReorderedCSR
-
-        g = ReorderedCSR(g).graph
     plan = engine.plan(g, args.mode, side=args.side, k=args.k)
     if args.auto:
         print(f"plan       : {plan.label} — {plan.reason}")
@@ -690,6 +663,7 @@ def _cmd_explain(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     from repro import engine
+    from repro.engine.drift import NO_LEDGER
 
     persist = not args.no_persist
     if args.if_drifted is not None:
@@ -697,6 +671,10 @@ def _cmd_calibrate(args) -> int:
             args.if_drifted, path=args.ledger,
             repeats=args.repeats, persist=persist,
         )
+        if report["path"] is None:
+            print(f"drift ledger : {NO_LEDGER}")
+            print("calibration  : kept (no ledger to read)")
+            return 0
         median = report.get("median_rel_error")
         shown = "n/a (empty ledger)" if median is None else f"{median:.1%}"
         print(f"drift ledger : {report['path']} ({report['count']} records)")

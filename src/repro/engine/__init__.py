@@ -45,7 +45,6 @@ from repro.engine.calibration import (
     save_calibration,
 )
 from repro.engine.drift import (
-    DEFAULT_DRIFT_LEDGER_PATH,
     calibrate_if_drifted,
     drift_report,
     load_drift,
@@ -89,7 +88,6 @@ __all__ = [
     "DEFAULT_COEFFICIENTS",
     "DEFAULT_MAX_WORKERS",
     "DEFAULT_PLAN_BLOCK_BUDGET",
-    "DEFAULT_DRIFT_LEDGER_PATH",
     "plan_fingerprint",
     "record_drift",
     "load_drift",

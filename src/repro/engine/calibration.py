@@ -36,6 +36,14 @@ Coefficients
     Flat per-call overhead of a warm shared-memory dispatch.
 ``parallel_efficiency``
     Fraction of ideal speedup the pool achieves (imbalance + merge).
+``reorder_ns_per_edge``
+    One-off cost per edge of a joint degree relabel, measured by timing
+    :func:`repro.graphs.ordering.order_by_degree`.
+``decode_ns_per_edge``
+    Varint decode surcharge per fetched endpoint of the compact layout.
+
+Keys a persisted table carries but the defaults no longer list are
+ignored on load, so tables written by older versions keep loading.
 """
 
 from __future__ import annotations
@@ -83,13 +91,10 @@ DEFAULT_COEFFICIENTS: dict = {
     "stream_batch_ns": 1.5e6,
     "parallel_dispatch_ns": 2.5e6,
     "parallel_efficiency": 0.7,
-    # storage axis: one-off cost of building the degree-reordered layout
-    # (per edge: two degree sorts + relabel + recompression of both
-    # views), the multiplicative discount the reordered layout earns on
-    # the panel kernels' per-op cost (cache locality), and the varint
+    # one-off cost of a joint degree relabel (per edge: two degree sorts
+    # + relabel of both views; the priority row pays it), and the varint
     # decode cost per fetched endpoint of the compact layout
     "reorder_ns_per_edge": 40.0,
-    "reorder_gain": 0.85,
     "decode_ns_per_edge": 6.0,
 }
 
@@ -144,13 +149,8 @@ class CalibrationTable:
 
     @property
     def reorder_ns_per_edge(self) -> float:
-        """One-off build cost of the degree-reordered layout, per edge."""
+        """One-off cost of a joint degree relabel, per edge."""
         return float(self.coefficients["reorder_ns_per_edge"])
-
-    @property
-    def reorder_gain(self) -> float:
-        """Per-op cost multiplier (< 1 is a win) under the reordered layout."""
-        return float(self.coefficients["reorder_gain"])
 
     @property
     def decode_ns_per_edge(self) -> float:
@@ -366,32 +366,19 @@ def calibrate(
     coeffs["ns_per_op"]["stream"] = max(a * 1e9, 0.05)
     coeffs["stream_batch_ns"] = max(b * 1e9, 10000.0)
 
-    # storage axis: the reorder build cost and per-op gain need a graph
-    # whose index working set exceeds the last-level cache for the
-    # locality effect to show — the small calibration graphs can't, so a
-    # dedicated (one-shot, still sub-second) skewed graph measures them
-    from repro.storage import CompactCSR, ReorderedCSR
+    # degree relabel: two degree sorts + relabel of both views, timed on
+    # a graph large enough that the per-edge rate is not call overhead
+    from repro.graphs.ordering import order_by_degree
+    from repro.storage import CompactCSR
 
     skewed = power_law_bipartite(20_000, 30_000, 150_000, seed=16)
-    t_build = _best_of(lambda: ReorderedCSR(skewed), repeats)
+    t_build = _best_of(lambda: order_by_degree(skewed, descending=True), repeats)
     coeffs["reorder_ns_per_edge"] = max(
         t_build / max(skewed.n_edges, 1) * 1e9, 1.0
     )
-    reordered = ReorderedCSR(skewed)
-    t_raw = _best_of(
-        lambda: count_butterflies_blocked(skewed, 2, block_size=256), repeats
-    )
-    t_re = _best_of(
-        lambda: count_butterflies_blocked(reordered, 2, block_size=256), repeats
-    )
-    if t_raw > 0:
-        # clamp: the gain is a second-order locality effect and a noisy
-        # ratio must not convince the planner reorder halves (or doubles)
-        # kernel time
-        coeffs["reorder_gain"] = min(max(t_re / t_raw, 0.6), 1.25)
 
     # priority: the heavy graph's wedge bound pins ns_per_op.priority once
-    # the relabel share (charged at the reorder build rate just measured)
+    # the relabel share (charged at the degree-relabel rate just measured)
     # is taken out
     from repro.core.priority import (
         count_butterflies_priority,

@@ -7,7 +7,7 @@ numpy upgrade all shift the real coefficients while
 already measures predicted vs actual milliseconds on every run; this
 module makes that comparison *persistent*: each execution appends one
 ``(plan fingerprint, modeled_ops, est_seconds, actual_seconds)`` record
-to a JSONL ledger (default ``results/plan_drift.jsonl``), and
+to a JSONL ledger the caller names, and
 
 - :func:`drift_report` aggregates the ledger into per-plan and overall
   median/mean relative error (``repro-butterfly explain --drift``),
@@ -18,10 +18,11 @@ to a JSONL ledger (default ``results/plan_drift.jsonl``), and
 
 Ledger writes go through the :class:`repro.obs.sinks.JsonlSink` API —
 the analyzer's RPR007 rule pins that engine modules do not hand-roll
-file writes — and are gated on ``obs._enabled``: with observability off
-(or force-disabled via ``REPRO_OBS=0``) no file is opened, no directory
-created.  ``REPRO_DRIFT_LEDGER`` overrides the ledger path; setting it
-to ``0``/``off`` disables the ledger even while obs is on.
+file writes — and happen only when observability is on *and* a ledger
+is named: ``REPRO_DRIFT_LEDGER=PATH`` or an explicit ``path`` argument.
+With neither (or ``REPRO_DRIFT_LEDGER=0``/``off``) no file is opened and
+no directory created, so a run never writes into the caller's working
+directory behind its back.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from repro import obs
 from repro.obs.sinks import JsonlSink
 
 __all__ = [
-    "DEFAULT_DRIFT_LEDGER_PATH",
     "drift_ledger_path",
     "plan_fingerprint",
     "record_drift",
@@ -46,14 +46,16 @@ __all__ = [
     "calibrate_if_drifted",
 ]
 
-#: Default ledger location, next to the calibration table it feeds.
-DEFAULT_DRIFT_LEDGER_PATH = os.path.join("results", "plan_drift.jsonl")
-
-#: Environment override: a path, or ``0``/``false``/``off``/``no`` to
-#: disable ledger writes entirely.
+#: Environment variable naming the ledger: a path, or
+#: ``0``/``false``/``off``/``no`` for none.
 DRIFT_LEDGER_ENV = "REPRO_DRIFT_LEDGER"
 
 _DISABLED_VALUES = ("0", "false", "off", "no")
+
+#: What the report surfaces say when no ledger is named.
+NO_LEDGER = (
+    f"none named (set {DRIFT_LEDGER_ENV}=PATH or pass --ledger PATH)"
+)
 
 #: The plan fields that identify *what* was executed (the fingerprint
 #: input).  Cost-model outputs (est_seconds, modeled_ops, reason) are
@@ -70,26 +72,27 @@ _FINGERPRINT_FIELDS = (
     "method",
     "side",
     "k",
+    "layout",
 )
 
 
 def drift_ledger_path(path=None) -> str | None:
-    """Resolve the ledger path (explicit > env > default); None = disabled."""
+    """Resolve the ledger path (explicit > env); None = no ledger named."""
     if path is not None:
         return str(path)
     env = os.environ.get(DRIFT_LEDGER_ENV, "").strip()
-    if env:
-        return None if env.lower() in _DISABLED_VALUES else env
-    return DEFAULT_DRIFT_LEDGER_PATH
+    if not env or env.lower() in _DISABLED_VALUES:
+        return None
+    return env
 
 
 def plan_fingerprint(the_plan) -> str:
     """Stable 12-hex-digit identity of a plan's execution shape.
 
     Two plans with the same (workload, invariant, storage, strategy,
-    executor, workers, block size, method, side, k) share a fingerprint
-    regardless of what the cost model estimated for them — the key the
-    ledger groups by.
+    executor, workers, block size, method, side, k, layout) share a
+    fingerprint regardless of what the cost model estimated for them —
+    the key the ledger groups by.
     """
     record = the_plan.as_dict()
     key = {field: record.get(field) for field in _FINGERPRINT_FIELDS}
@@ -102,7 +105,7 @@ def record_drift(the_plan, actual_seconds: float, path=None) -> dict | None:
 
     Called by :func:`repro.engine.execute` after every plan execution.
     Returns the appended record, or None when nothing was written
-    (observability off, ledger disabled, or the filesystem refused —
+    (observability off, no ledger named, or the filesystem refused —
     a drift ledger is telemetry and must never fail the workload).
     """
     if not obs._enabled:
@@ -135,9 +138,9 @@ def record_drift(the_plan, actual_seconds: float, path=None) -> dict | None:
 
 
 def load_drift(path=None) -> list[dict]:
-    """Every ledger record, oldest first ([] when no ledger exists)."""
-    target = drift_ledger_path(path) or DEFAULT_DRIFT_LEDGER_PATH
-    if not os.path.exists(target):
+    """Every ledger record, oldest first ([] when none is named or exists)."""
+    target = drift_ledger_path(path)
+    if target is None or not os.path.exists(target):
         return []
     records = []
     with open(target) as fh:
@@ -155,8 +158,9 @@ def drift_report(path=None) -> dict:
     "plans": {fingerprint: {"label", "workload", "count",
     "median_rel_error", "mean_est_seconds", "mean_actual_seconds"}}}``
     — ``median_rel_error`` is what ``calibrate --if-drifted`` gates on.
+    ``path`` is None when no ledger is named.
     """
-    target = drift_ledger_path(path) or DEFAULT_DRIFT_LEDGER_PATH
+    target = drift_ledger_path(path)
     records = load_drift(target)
     rels = [r["rel_error"] for r in records if "rel_error" in r]
     plans: dict[str, dict] = {}
@@ -204,6 +208,8 @@ def drift_report(path=None) -> dict:
 
 def render_drift_report(report: dict) -> str:
     """Human table of a :func:`drift_report` result."""
+    if report["path"] is None:
+        return f"plan-drift ledger: {NO_LEDGER}"
     lines = [f"plan-drift ledger: {report['path']}"]
     if not report["count"]:
         lines.append("(no drift records; run a plan with observability on)")

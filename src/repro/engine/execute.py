@@ -121,15 +121,12 @@ def _storage_view(the_plan: Plan, graph):
     ``layout="raw"`` (and a caller who already hands us a
     :class:`~repro.storage.GraphStorage` — e.g. an out-of-core
     :class:`~repro.storage.MmapCSR`) passes through untouched; otherwise
-    the layout is built here, which is exactly the build cost the
-    planner's estimate already charged (``reorder_ns_per_edge·nnz``).
+    the layout is built here.
     """
     if the_plan.layout == "raw":
         return graph
-    from repro.storage import GraphStorage, resolve_storage
+    from repro.storage import resolve_storage
 
-    if isinstance(graph, GraphStorage):
-        return graph
     return resolve_storage(graph, the_plan.layout)
 
 
@@ -175,25 +172,18 @@ def _dispatch_count(the_plan: Plan, graph: BipartiteGraph) -> int:
 
 
 def _dispatch_vertex_counts(the_plan: Plan, graph: BipartiteGraph):
-    view = _storage_view(the_plan, graph)
+    graph = _storage_view(the_plan, graph)
     if the_plan.workers > 1 or the_plan.executor != "serial":
         from repro.core.parallel import vertex_butterfly_counts_parallel
 
-        counts = vertex_butterfly_counts_parallel(
-            view,
+        return vertex_butterfly_counts_parallel(
+            graph,
             side=the_plan.side,
             n_workers=the_plan.workers,
             executor=the_plan.executor,
         )
-    else:
-        from repro.core.local_counts import vertex_butterfly_counts_blocked
+    from repro.core.local_counts import vertex_butterfly_counts_blocked
 
-        counts = vertex_butterfly_counts_blocked(
-            view, side=the_plan.side, block_size=the_plan.block_size or 128
-        )
-    if view is not graph:
-        # a layout the engine built here: map the per-vertex vector back
-        # to the caller's vertex ids (identity for every layout but
-        # reorder, whose inverse permutation lives on the view)
-        counts = view.vertex_values_to_user(counts, the_plan.side)
-    return counts
+    return vertex_butterfly_counts_blocked(
+        graph, side=the_plan.side, block_size=the_plan.block_size or 128
+    )

@@ -229,43 +229,31 @@ def _pool_workers(workers: int | None) -> int:
 
 
 def _layout_rows(
-    base: Plan, work: _SideWork, cal: CalibrationTable, layout: str | None
+    base: Plan, cal: CalibrationTable, layout: str | None
 ) -> list[Plan]:
-    """Expand one raw candidate into its storage-layout variants.
+    """The storage-layout variant of one raw candidate.
 
-    ``layout=None`` keeps the auto axis: raw competes against reorder
-    (one-off relabel cost plus the calibrated per-op locality gain), so
-    reordering wins exactly when the modeled kernel time dwarfs the
-    ``reorder_ns_per_edge·nnz`` build.  Compact (per-endpoint decode
-    surcharge — a footprint play, never a wall-clock win) and mmap
-    (out-of-core) are pin-only; mmap is additionally serial-only, since
-    an out-of-core graph has no business being copied into a shm segment.
+    ``layout=None`` means raw.  Compact (per-endpoint decode surcharge —
+    a footprint play, never a wall-clock win) and mmap (out-of-core) are
+    pin-only; mmap is additionally serial-only, since an out-of-core graph
+    has no business being copied into a shm segment.
     """
-    rows: list[Plan] = []
-    build = work.nnz * cal.reorder_ns_per_edge * 1e-9
     if layout in (None, "raw"):
-        rows.append(base)
-    if layout in (None, "reorder"):
-        est = build + base.est_seconds * cal.reorder_gain
-        rows.append(base.with_(
-            layout="reorder", est_seconds=est,
-            reason=f"degree-reordered layout: ~{cal.reorder_gain:.2f}x "
-                   f"kernel cost after a {build * 1e3:.2f} ms relabel",
-        ))
+        return [base]
     if layout == "compact":
         est = base.est_seconds + base.modeled_ops * cal.decode_ns_per_edge * 1e-9
-        rows.append(base.with_(
+        return [base.with_(
             layout="compact", est_seconds=est,
             reason="varint/delta-compressed indices decoded per panel: "
                    "smaller footprint, per-endpoint decode surcharge",
-        ))
-    if layout == "mmap" and base.executor == "serial":
-        rows.append(base.with_(
+        )]
+    if base.executor == "serial":  # mmap
+        return [base.with_(
             layout="mmap",
             reason="mmap-backed column files: out-of-core blocked path, "
                    "page cache does the tiering",
-        ))
-    return rows
+        )]
+    return []
 
 
 def _count_candidates(
@@ -298,9 +286,8 @@ def _count_candidates(
     )
 
     out: list[Plan] = []
-    works: dict[int, _SideWork] = {}
     for number in invariants if strategies else ():
-        work = works[number] = _SideWork(graph, number)
+        work = _SideWork(graph, number)
         inv = work.invariant
         side = "right" if inv.storage == "csc" else "left"
         for strat in strategies:
@@ -376,13 +363,9 @@ def _count_candidates(
                            f"{serial_est * 1e3:.2f} ms vs dispatch overhead "
                            f"{cal.parallel_dispatch_ns * 1e-6:.2f} ms",
                 ))
-    if family_only and layout is None:
-        return out  # count_butterflies' contract: raw views unless pinned
     expanded: list[Plan] = []
     for cand in out:
-        expanded.extend(
-            _layout_rows(cand, works[cand.invariant], cal, layout)
-        )
+        expanded.extend(_layout_rows(cand, cal, layout))
     if (
         strategy in (None, "priority") and invariant is None
         and not family_only and emit_serial and layout in (None, "raw")
@@ -395,7 +378,7 @@ def _priority_row(graph, cal) -> Plan:
     """The serial vertex-priority candidate (side-free, raw layout).
 
     ``modeled_ops`` is the O(nnz) upper bound on its wedges; the estimate
-    charges the joint-rank relabel at the reorder build rate.
+    charges the joint-rank relabel at ``reorder_ns_per_edge``.
     """
     from repro.core.priority import priority_wedge_bound
 
@@ -449,7 +432,7 @@ def _vertex_candidates(
         return out  # peeling rounds mutate views in place: raw-only
     expanded: list[Plan] = []
     for cand in out:
-        expanded.extend(_layout_rows(cand, work, cal, layout))
+        expanded.extend(_layout_rows(cand, cal, layout))
     return expanded
 
 

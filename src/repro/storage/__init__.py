@@ -5,7 +5,6 @@ See :mod:`repro.storage.base` for the design rationale.  Public surface:
 - :class:`GraphStorage` / :func:`make_storage` / :func:`resolve_storage` —
   the protocol and its factory.
 - :class:`RawCSR` — the seed layout behind the interface.
-- :class:`ReorderedCSR` — degree-ordered relabeling, user ids preserved.
 - :class:`CompactCSR` / :class:`CompactPattern` — delta/varint-compressed
   indices, decoded panel-at-a-time.
 - :class:`MmapCSR` — memory-mapped column files for out-of-core graphs.
@@ -20,7 +19,6 @@ from repro.storage.compact import (
 )
 from repro.storage.mmapcsr import MmapCSR
 from repro.storage.raw import RawCSR
-from repro.storage.reorder import ReorderedCSR
 
 __all__ = [
     "GraphStorage",
@@ -28,7 +26,6 @@ __all__ = [
     "make_storage",
     "resolve_storage",
     "RawCSR",
-    "ReorderedCSR",
     "CompactCSR",
     "CompactPattern",
     "MmapCSR",

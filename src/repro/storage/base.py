@@ -1,16 +1,11 @@
 """The :class:`GraphStorage` protocol — storage as a first-class plan axis.
 
-Wang et al. (arXiv:1812.00283) make vertex-priority reordering the central
-constant-factor lever for butterfly kernels, and Shi & Shun
-(arXiv:1907.08607) show the same locality effects dominate the parallel
-setting.  Historically this repo baked one layout — raw int64 CSR/CSC
-built at graph construction — into every kernel, the shm publication path
-and the planner.  This package promotes the layout decision to an explicit
-object:
+Historically this repo baked one layout — raw int64 CSR/CSC built at
+graph construction — into every kernel, the shm publication path and the
+planner.  This package promotes the layout decision to an explicit
+object, so footprint-driven layouts can stand in for the raw arrays:
 
 - :class:`~repro.storage.raw.RawCSR` — today's arrays behind the interface.
-- :class:`~repro.storage.reorder.ReorderedCSR` — degree-ordered relabeling
-  with the inverse permutation retained, so user-facing vertex ids survive.
 - :class:`~repro.storage.compact.CompactCSR` — delta/varint-compressed
   index arrays, decoded panel-at-a-time into the kernels' scratch space.
 - :class:`~repro.storage.mmapcsr.MmapCSR` — column files memory-mapped with
@@ -36,16 +31,15 @@ from repro.graphs.bipartite import BipartiteGraph
 __all__ = ["GraphStorage", "LAYOUTS", "make_storage", "resolve_storage"]
 
 #: Storage layouts the planner and CLI know about, in preference order.
-LAYOUTS: tuple[str, ...] = ("raw", "reorder", "compact", "mmap")
+LAYOUTS: tuple[str, ...] = ("raw", "compact", "mmap")
 
 
 class GraphStorage:
     """Base class for concrete graph layouts.
 
     Subclasses fix :attr:`layout` and provide ``csr`` / ``csc`` pattern
-    views (raw or compact).  The id-mapping hooks are identity here;
-    :class:`~repro.storage.reorder.ReorderedCSR` overrides them so
-    per-vertex results can be returned in the caller's labelling.
+    views (raw or compact).  Every layout keeps the caller's vertex ids,
+    so per-vertex results need no translation.
     """
 
     #: layout tag, one of :data:`LAYOUTS`.
@@ -57,7 +51,7 @@ class GraphStorage:
     # -- BipartiteGraph duck-type surface ------------------------------
     @property
     def graph(self) -> BipartiteGraph:
-        """The graph in *storage* labelling (relabeled for ``reorder``)."""
+        """The wrapped graph."""
         return self._graph
 
     @property
@@ -83,19 +77,6 @@ class GraphStorage:
     @property
     def csc(self):
         return self._graph.csc
-
-    # -- id mapping hooks ----------------------------------------------
-    def to_storage_ids(self, ids: np.ndarray, side: str) -> np.ndarray:
-        """Map user-facing vertex ids of ``side`` to storage ids."""
-        return np.asarray(ids)
-
-    def to_user_ids(self, ids: np.ndarray, side: str) -> np.ndarray:
-        """Map storage vertex ids of ``side`` back to user-facing ids."""
-        return np.asarray(ids)
-
-    def vertex_values_to_user(self, values: np.ndarray, side: str) -> np.ndarray:
-        """Reorder a per-vertex result vector into user-facing id order."""
-        return values
 
     # -- bookkeeping ---------------------------------------------------
     @property
@@ -133,10 +114,6 @@ def make_storage(graph: BipartiteGraph, layout: str, **kwargs) -> GraphStorage:
         from repro.storage.raw import RawCSR
 
         return RawCSR(graph, **kwargs)
-    if layout == "reorder":
-        from repro.storage.reorder import ReorderedCSR
-
-        return ReorderedCSR(graph, **kwargs)
     if layout == "compact":
         from repro.storage.compact import CompactCSR
 

@@ -65,7 +65,7 @@ class TestFlatten:
         # regression the bench gate must trip on
         assert metric_direction("storage.publish_bytes") == "lower"
         assert metric_direction("storage.publish_bytes_raw") == "lower"
-        assert metric_direction("storage.reorder_speedup_ratio") == "higher"
+        assert metric_direction("storage.publish_shrink_ratio") == "higher"
 
     def test_publish_bytes_regression_trips_compare(self):
         baseline = {"storage": {"publish_bytes": 465000}}

@@ -169,3 +169,26 @@ def test_bench_smallest_dataset(capsys):
     out = capsys.readouterr().out
     assert "Inv. 1" in out and "Inv. 8" in out
     assert "butterflies:" in out
+
+
+def test_metrics_out_writes_only_the_named_file(tmp_path):
+    """Turning obs on names one output; no drift ledger appears beside it."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    save_konect(gnm_bipartite(10, 12, 40, seed=1), tmp_path / "g.txt")
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("REPRO_DRIFT_LEDGER", "REPRO_OBS", "REPRO_CALIBRATION")
+    }
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "--metrics-out", "m.jsonl",
+         "count", "g.txt"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["g.txt", "m.jsonl"]

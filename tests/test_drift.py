@@ -1,8 +1,9 @@
 """Tests for the plan-drift ledger (:mod:`repro.engine.drift`).
 
-Covers path resolution (explicit > ``REPRO_DRIFT_LEDGER`` env >
-default, env disable values), fingerprint stability across cost-model
-changes, the obs gate (no file touched while observability is off),
+Covers path resolution (explicit > ``REPRO_DRIFT_LEDGER`` env > none,
+env disable values), fingerprint stability across cost-model changes,
+the obs gate (no file touched while observability is off or no ledger
+is named),
 ``engine.execute`` appending real records, report aggregation math,
 ``calibrate_if_drifted`` threshold behaviour, and the CLI front doors
 (``explain --drift``, ``calibrate --if-drifted``).
@@ -53,8 +54,9 @@ def _write_records(path, rel_errors, **extra):
 # ----------------------------------------------------------------------
 class TestLedgerPath:
     def test_default(self, monkeypatch):
+        # no implicit location: without a named ledger there is none
         monkeypatch.delenv(drift.DRIFT_LEDGER_ENV, raising=False)
-        assert drift.drift_ledger_path() == drift.DEFAULT_DRIFT_LEDGER_PATH
+        assert drift.drift_ledger_path() is None
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(drift.DRIFT_LEDGER_ENV, "/tmp/custom.jsonl")
@@ -81,6 +83,17 @@ class TestFingerprint:
         p2 = p1.with_(est_seconds=p1.est_seconds * 10, reason="recalibrated")
         assert drift.plan_fingerprint(p1) == drift.plan_fingerprint(p2)
         assert len(drift.plan_fingerprint(p1)) == 12
+
+    def test_layout_is_part_of_the_identity(self, graph):
+        # compact's decode surcharge must not pool with the raw plan's drift
+        raw = engine.plan(
+            graph, "count", strategy="blocked", invariant=2, layout="raw"
+        )
+        prints = {
+            drift.plan_fingerprint(raw.with_(layout=layout))
+            for layout in ("raw", "compact", "mmap")
+        }
+        assert len(prints) == 3
 
     def test_differs_for_different_shapes(self, graph):
         p1 = engine.plan(graph, "count", family_only=True, executor="serial")
@@ -150,6 +163,12 @@ class TestRecordDrift:
 # report aggregation
 # ----------------------------------------------------------------------
 class TestDriftReport:
+    def test_no_ledger_named(self, monkeypatch):
+        monkeypatch.delenv(drift.DRIFT_LEDGER_ENV, raising=False)
+        report = engine.drift_report()
+        assert report["path"] is None and report["count"] == 0
+        assert "none named" in engine.render_drift_report(report)
+
     def test_empty_ledger(self, ledger):
         report = engine.drift_report()
         assert report["count"] == 0
@@ -247,6 +266,15 @@ class TestCli:
         assert main(["explain"]) == 2
         assert "needs a GRAPH" in capsys.readouterr().err
 
+    def test_calibrate_if_drifted_without_ledger(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.delenv(drift.DRIFT_LEDGER_ENV, raising=False)
+        assert main(["calibrate", "--if-drifted", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "none named" in out
+        assert "kept" in out
+
     def test_calibrate_if_drifted_below_threshold(self, ledger, capsys):
         from repro.cli import main
 
@@ -275,11 +303,12 @@ class TestCli:
         assert "re-measured" in out
 
 
-# the ledger default path never leaks into the repo during tests: every
-# test in this file routes through the env fixture or an explicit path
+# without a named ledger nothing is written, even with obs on
 def test_no_stray_default_ledger_created(tmp_path, monkeypatch, graph):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(drift.DRIFT_LEDGER_ENV, raising=False)
     the_plan = engine.plan(graph, "count")
-    engine.execute(the_plan, graph)  # obs off -> nothing written
-    assert not os.path.exists(drift.DEFAULT_DRIFT_LEDGER_PATH)
+    with obs.capture():
+        engine.execute(the_plan, graph)
+        assert drift.record_drift(the_plan, 0.5) is None
+    assert os.listdir(tmp_path) == []

@@ -435,7 +435,7 @@ class TestPriorityCandidate:
         {"family_only": True, "layout": "raw"},
         {"executor": "shared", "workers": 2},
         {"workers": 2},
-        {"layout": "reorder"},
+        {"layout": "mmap"},
         {"layout": "compact"},
         {"invariant": 6},
         {"strategy": "blocked"},

@@ -1,21 +1,18 @@
 """repro.storage — the GraphStorage layouts behind the planner's storage axis.
 
-Four concerns, each pinned separately:
+Three concerns, each pinned separately:
 
 - the varint/delta codec round-trips exactly (including the adversarial
   shapes: empty graphs, empty slices, single rows, 2⁴⁰-scale gaps);
 - :class:`CompactPattern` answers the full accessor protocol with the
   same values as the raw pattern it compressed;
-- :class:`ReorderedCSR` keeps user ids recoverable (permutations are
-  inverses, per-vertex results map back) while the relabeled graph counts
-  identically — butterflies are label-invariant;
 - :class:`MmapCSR` runs the counting kernels out-of-core: the rlimit
   subprocess test counts a graph whose index arrays exceed the process'
   ``RLIMIT_DATA`` budget, which only works because the column files are
   paged in by the OS instead of living on the heap.
 
 The work-model regression (2⁴⁰ wedges on a hub graph, computed directly
-on a ReorderedCSR view) guards the int64 prefix-sum discipline of
+on a raw storage view) guards the int64 prefix-sum discipline of
 :func:`repro.core.workinfo.wedge_work_prefix`.
 """
 
@@ -32,7 +29,6 @@ import pytest
 from repro import engine
 from repro.core import count_butterflies
 from repro.core.blocked import count_butterflies_blocked
-from repro.core.local_counts import vertex_butterfly_counts
 from repro.core.workinfo import wedge_work_prefix
 from repro.engine.calibration import CalibrationTable
 from repro.graphs import (
@@ -48,7 +44,6 @@ from repro.storage import (
     GraphStorage,
     MmapCSR,
     RawCSR,
-    ReorderedCSR,
     decode_varint_deltas,
     encode_varint_deltas,
     make_storage,
@@ -196,8 +191,7 @@ class TestGraphStorage:
     def test_factory_builds_each_layout(self):
         g = _graph()
         classes = {
-            "raw": RawCSR, "reorder": ReorderedCSR,
-            "compact": CompactCSR, "mmap": MmapCSR,
+            "raw": RawCSR, "compact": CompactCSR, "mmap": MmapCSR,
         }
         for layout in LAYOUTS:
             store = make_storage(g, layout)
@@ -210,10 +204,10 @@ class TestGraphStorage:
         g = _graph()
         with pytest.raises(ValueError, match="unknown storage layout"):
             make_storage(g, "csr")
-        store = make_storage(g, "reorder")
+        store = make_storage(g, "compact")
         with pytest.raises(TypeError, match="already"):
-            make_storage(store, "compact")
-        assert make_storage(store, "reorder") is store
+            make_storage(store, "raw")
+        assert make_storage(store, "compact") is store
 
     def test_resolve_passthrough_and_default(self):
         g = _graph()
@@ -234,43 +228,7 @@ class TestGraphStorage:
         assert make_storage(g, "compact").nbytes < make_storage(g, "raw").nbytes
 
     def test_repr_mentions_layout(self):
-        assert "reorder" in repr(make_storage(_graph(), "reorder"))
-
-
-class TestReorderedCSR:
-    def test_permutations_are_inverses(self):
-        store = ReorderedCSR(_graph())
-        for perm, inv in (
-            (store.left_perm, store.left_inverse),
-            (store.right_perm, store.right_inverse),
-        ):
-            np.testing.assert_array_equal(
-                inv[perm], np.arange(len(perm))
-            )
-
-    def test_hubs_get_small_ids(self):
-        store = ReorderedCSR(_graph())
-        deg = store.graph.csr.degrees()
-        assert (np.diff(deg) <= 0).all()  # descending degree order
-
-    def test_id_mapping_roundtrip(self):
-        store = ReorderedCSR(_graph())
-        ids = np.array([0, 5, 17, 5])
-        for side in ("left", "right"):
-            np.testing.assert_array_equal(
-                store.to_user_ids(store.to_storage_ids(ids, side), side), ids
-            )
-        with pytest.raises(ValueError, match="side"):
-            store.to_storage_ids(ids, "top")
-
-    def test_vertex_values_map_back_to_user_order(self):
-        g = _graph()
-        store = ReorderedCSR(g)
-        truth = vertex_butterfly_counts(g, "left")
-        relabeled = vertex_butterfly_counts(store.graph, "left")
-        np.testing.assert_array_equal(
-            store.vertex_values_to_user(relabeled, "left"), truth
-        )
+        assert "compact" in repr(make_storage(_graph(), "compact"))
 
 
 class TestMmapCSR:
@@ -434,19 +392,17 @@ def test_mmap_counts_beyond_rlimit_budget(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# work model on a reordered view: int64 discipline at 2^40 wedges
+# work model on a storage view: int64 discipline at 2^40 wedges
 # ----------------------------------------------------------------------
 
 
-def test_wedge_work_prefix_2_pow_40_on_reordered_view():
+def test_wedge_work_prefix_2_pow_40_on_raw_view():
     """Hub graph: 2²⁰ left vertices each adjacent to one hub of degree 2²⁰.
 
     Every left pivot expands deg(hub) = 2²⁰ wedge endpoints, so the total
     is exactly 2⁴⁰ — far past float64-safe integer territory for sums of
     this scale and a regression trap for any float intermediate.  Computed
-    directly on the ReorderedCSR view's patterns: no inverse-permuted
-    index copy is materialised on the way (the accessors read the
-    relabeled arrays in place).
+    directly on the RawCSR view's patterns through the accessor protocol.
     """
     n = 1 << 20
     csr = PatternCSR(
@@ -455,7 +411,7 @@ def test_wedge_work_prefix_2_pow_40_on_reordered_view():
         (n, 1),
         check=False,
     )
-    store = ReorderedCSR(BipartiteGraph.from_csr(csr))
+    store = RawCSR(BipartiteGraph.from_csr(csr))
     prefix = wedge_work_prefix(store.csr, store.csc)
     assert prefix.dtype == np.int64
     assert prefix[0] == 0
@@ -479,24 +435,12 @@ class TestPlannerStorageAxis:
             assert p.layout == layout
             assert engine.execute(p, g) == truth
 
-    def test_auto_tables_score_reorder_against_raw(self):
+    def test_open_table_holds_only_raw_rows(self):
         g = _graph()
         p = engine.plan(g, "count", calibration=DEFAULTS)
-        layouts = {c.layout for c in p.candidates}
-        assert layouts == {"raw", "reorder"}
-
-    def test_auto_selects_reorder_on_merit_on_power_law(self):
-        g = power_law_bipartite(2000, 3000, 40000, seed=7)
-        p = engine.plan(g, "count", calibration=DEFAULTS)
-        # the side-free vertex-priority row has no layout axis (raw only)
-        # and wins the open table; among the rows that do, reorder wins
-        assert p.label == "priority-serial"
-        sided = [c for c in p.candidates if c.strategy != "priority"]
-        best = min(sided, key=lambda c: c.est_seconds)
-        assert best.layout == "reorder"
-        raw_best = min(c.est_seconds for c in sided if c.layout == "raw")
-        assert best.est_seconds < raw_best
-        assert engine.execute(best, g) == count_butterflies(g)
+        assert {c.layout for c in p.candidates} == {"raw"}
+        with pytest.raises(ValueError, match="raw.*compact.*mmap"):
+            engine.plan(g, "count", layout="reorder", calibration=DEFAULTS)
 
     def test_compact_pin_carries_decode_surcharge(self):
         g = _graph()
@@ -519,28 +463,19 @@ class TestPlannerStorageAxis:
     def test_layout_rejected_for_peeling_workloads(self):
         g = _graph()
         with pytest.raises(ValueError, match="storage-layout"):
-            engine.plan(g, "tip", side="left", layout="reorder",
+            engine.plan(g, "tip", side="left", layout="compact",
                         calibration=DEFAULTS)
-
-    def test_vertex_counts_map_back_through_reorder(self):
-        g = _graph()
-        truth = vertex_butterfly_counts(g, "left")
-        p = engine.plan(
-            g, "vertex-counts", side="left", layout="reorder",
-            calibration=DEFAULTS,
-        )
-        np.testing.assert_array_equal(engine.execute(p, g), truth)
 
     def test_label_and_explain_show_the_layout(self):
         g = _graph()
-        p = engine.plan(g, "count", layout="reorder", calibration=DEFAULTS)
-        assert "reorder" in p.label
+        p = engine.plan(g, "count", layout="compact", calibration=DEFAULTS)
+        assert "compact" in p.label
         text = engine.explain(p, g, calibration=DEFAULTS)
         assert "layout" in text
-        assert "reorder" in text
+        assert "compact" in text
 
     def test_execute_accepts_prebuilt_storage(self):
         g = _graph()
-        store = ReorderedCSR(g)
-        p = engine.plan(g, "count", layout="reorder", calibration=DEFAULTS)
+        store = CompactCSR(g)
+        p = engine.plan(g, "count", layout="compact", calibration=DEFAULTS)
         assert engine.execute(p, store) == count_butterflies(g)

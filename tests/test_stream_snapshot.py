@@ -238,15 +238,20 @@ def test_snapshot_round_trip_through_each_layout(layout):
 
     The graph travels user graph → storage layout → BipartiteGraph →
     counter → snapshot bytes → fresh counter; the global count must match
-    the original graph throughout (butterflies are label-invariant, so
-    even the reordered labelling agrees globally).
+    the original graph throughout.  ``reorder`` seeds the counter from the
+    hub-first relabelling (:func:`repro.graphs.ordering.order_by_degree`)
+    on raw storage: butterflies are label-invariant, so it agrees too.
     """
     from repro.core import count_butterflies
+    from repro.graphs.ordering import order_by_degree
     from repro.storage import make_storage
 
     g = erdos_renyi_bipartite(14, 17, 0.3, seed=23)
     truth = count_butterflies(g)
-    store = make_storage(g, layout)
+    if layout == "reorder":
+        store = make_storage(order_by_degree(g, descending=True), "raw")
+    else:
+        store = make_storage(g, layout)
     counter = StreamingButterflyCounter(_graph_in_storage_labelling(store))
     assert counter.count == truth
     blob = counter.snapshot()
@@ -279,16 +284,18 @@ def test_snapshot_restore_from_mmap_backed_bytes(tmp_path, counter):
 
 
 def test_reordered_counter_vertex_counts_map_back(tmp_path):
-    """Per-vertex counts from a reorder-seeded counter translate to user ids."""
+    """Per-vertex counts from a hub-first-seeded counter map to user ids."""
     from repro.core.local_counts import vertex_butterfly_counts
-    from repro.storage import ReorderedCSR
+    from repro.graphs.ordering import degree_order, order_by_degree
 
     g = erdos_renyi_bipartite(14, 17, 0.3, seed=29)
-    store = ReorderedCSR(g)
-    counter = StreamingButterflyCounter(store.graph)
+    counter = StreamingButterflyCounter(order_by_degree(g, descending=True))
     restored = StreamingButterflyCounter.from_snapshot(counter.snapshot())
-    for side in ("left", "right"):
+    for side, degrees in (
+        ("left", g.degrees_left()), ("right", g.degrees_right())
+    ):
+        perm = degree_order(degrees, descending=True)
         np.testing.assert_array_equal(
-            store.vertex_values_to_user(restored.vertex_counts(side), side),
+            restored.vertex_counts(side)[perm],
             vertex_butterfly_counts(g, side),
         )
