@@ -21,6 +21,7 @@ from repro.baselines import (
     estimate_butterflies_edge_sampling,
     estimate_butterflies_wedge_sampling,
 )
+from repro import engine
 from repro.bench import Sweep, TimedResult
 from repro.core import count_butterflies
 from repro.graphs import load_dataset
@@ -28,7 +29,9 @@ from repro.graphs import load_dataset
 SWEEP = Sweep(title="ablD: family vs baselines on occupations stand-in, seconds")
 
 EXACT_COUNTERS = {
-    "family(auto)": lambda g: count_butterflies(g),
+    "family(auto)": lambda g: engine.execute(
+        engine.plan(g, "count", family_only=True, executor="serial"), g
+    ),
     "vertex-priority": count_butterflies_vertex_priority,
     "degree-ordered": count_butterflies_degree_ordered,
     "scipy-spgemm": count_butterflies_scipy,

@@ -23,10 +23,11 @@ def main() -> None:
     print(f"graph: {g}")
 
     # --- counting ---------------------------------------------------------
-    # Auto mode picks the family member that traverses the smaller side
-    # (the paper's Section V selection rule).
+    # Auto mode runs the planner's serial production plan (the
+    # vertex-priority kernel or a blocked panel sweep, whichever the cost
+    # model scores cheaper).
     total = count_butterflies(g)
-    print(f"butterflies (auto member): {total}")
+    print(f"butterflies (auto plan): {total}")
 
     # Every one of the paper's 8 loop invariants yields the same count.
     for inv in ALL_INVARIANTS:

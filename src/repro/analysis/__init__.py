@@ -40,7 +40,7 @@ RPR005    deprecation policy (stacklevel>=2, documented shim list)
 RPR006    exception discipline (no bare/broad/swallowed handlers)
 RPR007    engine sink discipline (no ad-hoc ``open()`` writes in engine)
 RPR008    storage accessor discipline (no raw ``.indptr``/``.indices``)
-RPR009    resource lifecycle (shm/mmap/ObsServer release on every path)
+RPR009    resource lifecycle (shm/mmap/file release on every path)
 RPR010    worker-boundary purity (no shared-state writes from dispatch)
 RPR011    interprocedural dtype propagation (narrow returns summed)
 RPR012    public-API surface drift (``__all__`` vs ``docs/api.md``)

@@ -45,7 +45,7 @@ OVERHEAD_FLOOR_SECONDS = 5e-4
 
 #: Span-name prefixes counted as "kernel work" when attributing profiler
 #: samples (the CI profile smoke asserts at least one lands here).
-KERNEL_SPAN_PREFIXES = ("family.", "blocked.", "worker.", "peel.")
+KERNEL_SPAN_PREFIXES = ("family.", "blocked.", "priority.", "worker.", "peel.")
 
 
 def _best_of(fn, repeats: int):
@@ -309,7 +309,8 @@ def _stream_section(repeats: int) -> dict:
 def _profiler_section(repeats: int, profile_out: str | None = None) -> dict:
     """Sampling-profiler overhead plus a real collapsed-stack artifact.
 
-    Times the same unblocked count with the profiler off and on (obs
+    Times the same production count (``count_butterflies``, the serial
+    vertex-priority plan on this graph) with the profiler off and on (obs
     enabled in both arms, so the delta is the sampler alone) and reports
     ``profiler_overhead = max(t_on/t_off − 1, 0)`` — flattened into
     ``BENCH_history.jsonl`` where the ``bench --compare`` gate treats it
@@ -318,7 +319,7 @@ def _profiler_section(repeats: int, profile_out: str | None = None) -> dict:
     CI artifact) and the attribution counts the profile smoke asserts on.
     """
     from repro import obs
-    from repro.core import count_butterflies_unblocked
+    from repro.core import count_butterflies
     from repro.obs import profile as obs_profile
 
     g = power_law_bipartite(3_000, 4_000, 150_000, seed=7)
@@ -327,9 +328,9 @@ def _profiler_section(repeats: int, profile_out: str | None = None) -> dict:
         obs.enable()
     try:
         def work():
-            # family.count span opens inside: samples taken during the
-            # kernel attribute to it (KERNEL_SPAN_PREFIXES)
-            return count_butterflies_unblocked(g, 6, strategy="adjacency")
+            # priority.count spans open inside: samples taken during the
+            # kernel attribute to them (KERNEL_SPAN_PREFIXES)
+            return count_butterflies(g)
 
         t_off, expected = _best_of(work, repeats)
         obs_profile.clear_samples()

@@ -30,8 +30,9 @@ a single flush out of a multi-run file).
 enables observability and writes the run's span tree as Chrome
 trace-event JSON on exit; the whole command runs under a ``cli.<command>``
 root span, so the file loads in Perfetto as one tree — with
-``count --blocked`` the nesting is family → invariant → panel, and
-parallel runs re-parent worker spans under their dispatch span.
+``count --strategy blocked`` the nesting is engine.execute → blocked
+count → panel, and parallel runs re-parent worker spans under their
+dispatch span.
 
 ``--profile-out PATH`` (global) enables observability plus the
 background sampling profiler (:mod:`repro.obs.profile`) and writes the
@@ -62,6 +63,7 @@ from repro.core import (
     k_tip,
     k_wing,
 )
+from repro.engine import COUNT_STRATEGIES
 from repro.graphs import (
     BipartiteGraph,
     dataset_names,
@@ -149,18 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument(
         "--strategy",
-        choices=("adjacency", "scratch", "spmv", "wedge"),
+        choices=COUNT_STRATEGIES,
         default=None,
-        help="update strategy (default: the engine's cost model chooses; "
-        "'wedge' runs the wedge-partitioned shard backend)",
-    )
-    p_count.add_argument(
-        "--auto",
-        action="store_true",
-        help="open the full plan space (blocked panels and parallel pools "
-        "included) instead of the sequential family; prints the chosen "
-        "plan and threads it into --trace-out as engine.plan/execute "
-        "spans",
+        help="pin the update strategy (default: the engine's cost model "
+        "chooses among priority, blocked and wedge; adjacency/scratch/"
+        "spmv run the paper's unblocked family member)",
     )
     p_count.add_argument(
         "--workers",
@@ -178,14 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         "varint-compressed indices, mmap = out-of-core column files)",
     )
     p_count.add_argument(
-        "--blocked",
-        action="store_true",
-        help="use the blocked (panel) member — with --trace-out the "
-        "trace nests family → invariant → panel",
-    )
-    p_count.add_argument(
         "--block-size", type=int, default=None, metavar="B",
-        help="panel width for --blocked (default: cost-model choice)",
+        help="pin the panel width (default: cost-model choice)",
     )
     # SUPPRESS: a subparser default would overwrite the value the global
     # --trace-out already parsed onto the namespace
@@ -200,12 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_peel.add_argument("--k", type=int, required=True)
     p_peel.add_argument("--mode", choices=("tip", "wing"), default="tip")
     p_peel.add_argument("--side", choices=("left", "right"), default="left")
-    p_peel.add_argument(
-        "--auto",
-        action="store_true",
-        help="print the engine's round plan (kernel/block size/pool) "
-        "before peeling",
-    )
 
     p_explain = sub.add_parser(
         "explain",
@@ -228,9 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="pin the family member (the planner decides the rest)",
     )
     p_explain.add_argument(
-        "--strategy",
-        choices=("adjacency", "scratch", "spmv", "blocked", "wedge"),
-        default=None, help="pin the update strategy",
+        "--strategy", choices=COUNT_STRATEGIES, default=None,
+        help="pin the update strategy",
     )
     p_explain.add_argument("--workers", type=int, default=None, metavar="N",
                            help="pin the pool size (N > 1: the shared pool, "
@@ -517,43 +499,16 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _count_plan_from_args(args, g):
-    """Translate the ``count`` flag set into one pinned engine plan.
-
-    Every hand-picked knob becomes a *pinned plan field* — there is no
-    separate code path per flag, just a smaller candidate table.
-    """
+def _plan_or_exit(g, workload, **pins):
+    """``engine.plan`` with the pins; a pin set no candidate honours
+    exits 2 with one ``error:`` line naming the pins."""
     from repro import engine
 
-    layout = _layout_arg(args)
-    if args.blocked:
-        return engine.plan(
-            g, "count", strategy="blocked", invariant=args.invariant,
-            block_size=args.block_size, executor="serial", layout=layout,
-        )
-    if args.workers is not None:
-        executor = "shared" if args.workers > 1 else "serial"
-        return engine.plan(
-            g, "count", invariant=args.invariant, strategy=args.strategy,
-            executor=executor, workers=args.workers, layout=layout,
-        )
-    if args.strategy == "wedge":
-        # not a member of the sequential family: plan it over the open
-        # plan space so the executor/worker choice stays cost-based
-        return engine.plan(
-            g, "count", invariant=args.invariant, strategy="wedge",
-            block_size=args.block_size, layout=layout,
-        )
-    if args.auto:  # full plan space: blocked/parallel candidates included
-        return engine.plan(
-            g, "count", invariant=args.invariant, strategy=args.strategy,
-            block_size=args.block_size, layout=layout,
-        )
-    # default: the sequential unblocked family, planner picks the member
-    return engine.plan(
-        g, "count", invariant=args.invariant, strategy=args.strategy,
-        family_only=True, executor="serial", layout=layout,
-    )
+    try:
+        return engine.plan(g, workload, **pins)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _layout_arg(args):
@@ -573,7 +528,11 @@ def _cmd_count(args) -> int:
     from repro import engine
 
     g = _load(args.graph)
-    plan = _count_plan_from_args(args, g)
+    plan = _plan_or_exit(
+        g, "count", invariant=args.invariant, strategy=args.strategy,
+        workers=args.workers, block_size=args.block_size,
+        layout=_layout_arg(args),
+    )
     result = engine.execute(plan, g)
     if args.invariant is not None:
         invariant_desc = str(args.invariant)
@@ -581,23 +540,21 @@ def _cmd_count(args) -> int:
         invariant_desc = f"auto (chose {plan.invariant})"
     else:
         invariant_desc = "auto"
-    strategy_desc = plan.strategy if args.strategy is None else args.strategy
     mode = _describe_mode(plan)
     if args.json:
         import json
 
         print(json.dumps({
             "invariant": invariant_desc,
-            "strategy": strategy_desc,
+            "strategy": plan.strategy,
             "mode": mode,
             "plan": plan.label,
             "butterflies": result,
         }))
         return 0
-    if args.auto:
-        print(f"plan       : {plan.label} — {plan.reason}")
+    print(f"plan       : {plan.label} — {plan.reason}")
     print(f"invariant  : {invariant_desc}")
-    print(f"strategy   : {strategy_desc}")
+    print(f"strategy   : {plan.strategy}")
     print(f"mode       : {mode}")
     print(f"butterflies: {result}")
     return 0
@@ -608,8 +565,7 @@ def _cmd_peel(args) -> int:
 
     g = _load(args.graph)
     plan = engine.plan(g, args.mode, side=args.side, k=args.k)
-    if args.auto:
-        print(f"plan       : {plan.label} — {plan.reason}")
+    print(f"plan       : {plan.label} — {plan.reason}")
     if args.mode == "tip":
         res = k_tip(g, args.k, side=args.side, plan=plan)
         print(f"{args.k}-tip ({args.side} side): kept {res.n_kept} vertices, "
@@ -635,17 +591,7 @@ def _cmd_explain(args) -> int:
     if args.calibrate:
         calibration = engine.calibrate()
         print(f"calibrated this machine -> {calibration.source}")
-    layout = _layout_arg(args)
-    if layout not in (None, "raw") and args.workload not in (
-        "count", "vertex-counts"
-    ):
-        print(
-            f"error: --storage {layout} applies to the count/vertex-counts "
-            "workloads (peeling plans run on raw views)",
-            file=sys.stderr,
-        )
-        return 2
-    plan = engine.plan(
+    plan = _plan_or_exit(
         g,
         args.workload,
         invariant=args.invariant,
@@ -654,7 +600,7 @@ def _cmd_explain(args) -> int:
         block_size=args.block_size,
         side=args.side,
         k=args.k,
-        layout=layout,
+        layout=_layout_arg(args),
         calibration=calibration,
     )
     print(engine.explain(plan, g, calibration=calibration))

@@ -491,58 +491,20 @@ def suffix_wedge_butterflies(
     return total
 
 
-def count_butterflies(
-    graph: BipartiteGraph,
-    *,
-    ordering: str | None = None,
-    plan=None,
-) -> int:
-    """Count butterflies, auto-planning the family member.
+def count_butterflies(graph: BipartiteGraph, *, plan=None) -> int:
+    """Count butterflies on the engine's serial production plan.
 
-    The selection is routed through :mod:`repro.engine`: the cost-based
-    planner chooses the (invariant, strategy) pair among the sequential
-    unblocked family members — the paper's Section V smaller-side rule
-    emerges from the planner's exact work model rather than being
-    hard-coded here.  ``plan`` accepts a pre-built
-    :class:`repro.engine.Plan`: pin a member with
-    ``repro.engine.plan(graph, invariant=..., strategy=...)``, or call
-    :func:`count_butterflies_unblocked`, the per-member entry point.
-
-    ``ordering`` applies the paper's named future-work optimisation
-    (Section VI, refs [3]/[12]) before counting:
-
-    - ``None`` — traverse vertices in their natural label order;
-    - ``"degree"`` — relabel the traversed side in increasing degree order
-      (the Chiba–Nishizeki discipline: the suffix update then charges each
-      wedge pair to its lower-degree member);
-    - ``"degree-desc"`` — decreasing degree order.
-
-    The count is label-invariant, so every ordering returns the same
-    value; only the traversal cost changes (measured in the ordering
-    ablation benchmark).
+    With no ``plan`` the cost-based planner (:mod:`repro.engine`) picks
+    among the serial production rows — the vertex-priority kernel or the
+    blocked panel kernel of either side — so a library call never starts
+    a worker pool on its own.  ``plan`` runs a pre-built
+    :class:`repro.engine.Plan` instead (e.g. a pooled
+    ``repro.engine.plan(graph, workers=4)``, or one paper member pinned
+    with ``repro.engine.plan(graph, invariant=..., strategy="spmv")``);
+    :func:`count_butterflies_unblocked` is the per-member entry point.
     """
     from repro import engine
 
     if plan is None:
-        plan = engine.plan(graph, "count", family_only=True, executor="serial")
-    if plan.invariant is not None:
-        inv = _resolve_invariant(plan.invariant)
-    else:
-        from repro.engine import select_count_invariant
-
-        inv = _resolve_invariant(select_count_invariant(graph))
-    if ordering is not None:
-        if ordering not in ("degree", "degree-desc"):
-            raise ValueError(
-                f"unknown ordering {ordering!r}; expected None, 'degree' or "
-                "'degree-desc'"
-            )
-        from repro.graphs.ordering import order_side_by_degree
-
-        side_name = "right" if inv.side is Side.COLUMNS else "left"
-        graph = order_side_by_degree(
-            graph, side_name, descending=(ordering == "degree-desc")
-        )
-        # the relabel changes nothing the plan depends on (degrees are
-        # permuted, not changed), so the chosen member stays valid
-    return engine.execute(plan.with_(invariant=inv.number), graph)
+        plan = engine.plan(graph, "count", executor="serial")
+    return engine.execute(plan, graph)

@@ -16,9 +16,11 @@ numbers (Fig. 11).  Here the ranges are cut once (:func:`count_ranges` /
 - in-process (``executor="serial"``, ``n_workers=1``, or where shared
   memory is unavailable — observable as ``parallel.shared_fallback``).
 
-All three sequential strategies are supported so the parallel numbers are
-directly comparable to the sequential ones: ``"spmv"`` (the paper-literal
-cost model), ``"adjacency"`` and ``"scratch"`` (the wedge-optimal pair).
+The default strategy, ``"wedge"``, reduces each range with the fused
+panel kernel.  All three sequential strategies are supported too, so the
+Fig. 11 numbers are directly comparable to the sequential ones:
+``"spmv"`` (the paper-literal cost model), ``"adjacency"`` and
+``"scratch"`` (the wedge-optimal pair).
 
 Work is split into contiguous pivot ranges balanced by *estimated work*
 (exact wedge expansions for ``adjacency``; pivots for ``spmv``, whose cost
@@ -260,7 +262,7 @@ def count_ranges(
     n_chunks: int,
     invariant: int | Invariant | None = None,
     side: str | Side | None = None,
-    strategy: str = "adjacency",
+    strategy: str = "wedge",
 ) -> PivotRanges:
     """Cut Ξ_G into at most ``n_chunks`` work-balanced pivot ranges.
 
@@ -331,7 +333,7 @@ def count_butterflies_parallel(
     executor: str = "shared",
     chunks_per_worker: int = 4,
     invariant: int | Invariant | None = None,
-    strategy: str = "adjacency",
+    strategy: str = "wedge",
 ) -> int:
     """Count butterflies in parallel over pivot ranges.
 
@@ -361,12 +363,12 @@ def count_butterflies_parallel(
         to the total (pivot contributions are order-independent), which is
         precisely why the family parallelises.
     strategy:
-        ``"adjacency"`` (default), ``"scratch"`` or ``"spmv"`` — same
-        meanings as the sequential entry points, so speedups are
-        apples-to-apples — or ``"wedge"``: shards of equal *wedge* work
-        (capped at :data:`DEFAULT_WEDGE_SHARD_BUDGET` wedges each) reduced
-        with the fused sort-free panel kernel instead of a per-pivot
-        Python loop.
+        ``"wedge"`` (default): shards of equal *wedge* work (capped at
+        :data:`DEFAULT_WEDGE_SHARD_BUDGET` wedges each) reduced with the
+        fused sort-free panel kernel; or ``"adjacency"``, ``"scratch"``
+        or ``"spmv"`` — the sequential family's per-pivot Python loops,
+        same meanings as the sequential entry points, so the Fig. 11
+        speedups are apples-to-apples.
 
     Returns
     -------

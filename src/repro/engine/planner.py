@@ -1,14 +1,19 @@
 """Cost-based planner: graph stats × exact work model × calibration → Plan.
 
-The paper's Section V result is that no single family member wins — which
-invariant, storage, and update strategy is fastest depends on the graph's
-shape (side ratio, sparsity, degree skew).  The planner makes that choice
-mechanical:
+The paper's Section V result is that no single family member wins, so it
+picks a member by side.  The planner makes the production choice over
+faster kernels instead:
 
 1. **Candidate generation** — enumerate the plans worth considering for
    the workload, respecting any caller-pinned fields (a pinned
    ``invariant=3`` restricts candidates to invariant 3; a pinned
-   ``executor="serial"`` drops the pool rows; etc.).
+   ``executor="serial"`` drops the pool rows; etc.).  With nothing
+   pinned, a count scores the production rows only: the side-free
+   vertex-priority kernel plus the blocked panel kernel and the pooled
+   wedge shards of each side.  The paper's unblocked family
+   (adjacency/scratch/spmv) is scored only under ``family_only=True`` or
+   an explicit ``strategy=`` pin — it stays the reproduction of
+   Figs. 9–11 and the conformance oracle.
 2. **Exact work model** — each candidate's element-operation count comes
    from :mod:`repro.core.workinfo` (the same model the parallel range
    balancer and the Fig. 10 analysis use), never from asymptotics.
@@ -16,13 +21,15 @@ mechanical:
    coefficient table (:mod:`repro.engine.calibration`), with shipped
    defaults when the machine is uncalibrated.
 4. **Selection** — lowest estimated cost wins; ties break toward the
-   earlier candidate in generation order (which lists the paper-preferred
-   suffix members first).  Everything is deterministic, so ``explain``
-   output and trace attributes agree by construction.
+   earlier candidate in generation order (which lists the smaller side
+   first).  Everything is deterministic, so ``explain`` output and trace
+   attributes agree by construction.  A pin set no candidate honours is
+   a ``ValueError`` naming the pins, never a silent re-plan.
 
-The smaller-side rule the paper states *emerges* from the model rather
-than being hard-coded: the side with fewer pivots pays less per-iteration
-overhead (unblocked) and a shorter triangular scan (spmv).
+Within the family the smaller-side rule the paper states *emerges* from
+the model rather than being hard-coded: the side with fewer pivots pays
+less per-iteration overhead (unblocked) and a shorter triangular scan
+(spmv).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import os
 
 from repro import obs
+from repro.core.family import STRATEGIES as FAMILY_STRATEGIES
 from repro.core.workinfo import (
     matrices_for_side,
     pivot_work_estimate,
@@ -65,9 +73,9 @@ DEFAULT_MAX_WORKERS = 6
 #: so one representative per side spans the whole decision space).
 _AUTO_INVARIANTS = (2, 6)
 
-#: Strategies scored once per family side; ``"priority"`` is side-free
-#: and gets its own single row.
-_SIDED_STRATEGIES = tuple(s for s in COUNT_STRATEGIES if s != "priority")
+#: Per-side strategies of the open count table (``"priority"`` is
+#: side-free and gets its own single row).
+_PRODUCTION_STRATEGIES = ("blocked", "wedge")
 
 #: Default wedge-work budget used to SIZE panels (elements).  Smaller
 #: than the executor's transient-memory cap
@@ -166,9 +174,11 @@ def candidate_plans(
     """The scored candidate table for ``plan`` (chosen = lowest est).
 
     Any non-None keyword pins the corresponding plan field; the planner
-    fills the rest.  ``family_only=True`` restricts counting candidates
-    to the sequential unblocked family (the contract of
-    :func:`repro.core.count_butterflies`).  The ``stream_apply`` workload
+    fills the rest.  An open count table holds the production rows
+    (``priority``, plus ``blocked`` and ``wedge`` per side);
+    ``family_only=True`` restricts counting candidates to the sequential
+    unblocked family instead (the contract of
+    :func:`select_count_invariant`).  The ``stream_apply`` workload
     takes the pending edit batch via ``batch=(insert, delete)`` (edge
     lists / (k, 2) arrays) and scores batched incremental maintenance
     against a from-scratch recount.
@@ -268,9 +278,10 @@ def _count_candidates(
     # order smaller side first so ties break the paper's way
     if invariant is None and graph.n_right > graph.n_left:
         invariants.reverse()
-    unblocked = ("adjacency", "scratch", "spmv")
     if strategy is None:
-        strategies = unblocked if family_only else _SIDED_STRATEGIES
+        strategies = (
+            FAMILY_STRATEGIES if family_only else _PRODUCTION_STRATEGIES
+        )
     elif strategy == "priority":
         strategies = ()
     else:
@@ -554,7 +565,10 @@ def plan(
     :data:`DEFAULT_PLAN_BLOCK_BUDGET`); ``batch=(insert, delete)`` gives
     the ``stream_apply`` workload its pending edit batch.  Returns the
     winning :class:`Plan` with the full scored candidate table attached
-    (``plan.candidates``) for :func:`explain`.
+    (``plan.candidates``) for :func:`explain`; raises ``ValueError``
+    naming the pins when no candidate honours all of them (e.g.
+    ``strategy="blocked", executor="shared"``: the panel kernel is
+    serial-only).
     """
     cal = calibration or load_calibration()
     with obs.span("engine.plan", workload=workload) as sp:
@@ -564,12 +578,19 @@ def plan(
             block_size=block_size, side=side, k=k, batch=batch,
             layout=layout, family_only=family_only, calibration=cal,
         )
-        if not cands:  # fully over-constrained (e.g. executor="serial",
-            # workers=4): fall back to an unconstrained table
-            cands = candidate_plans(
-                graph, workload, budget=budget, invariant=invariant,
-                k=k, side=side, batch=batch, layout=layout,
-                family_only=family_only, calibration=cal,
+        if not cands:
+            pins = {
+                "invariant": invariant, "strategy": strategy,
+                "executor": executor, "workers": workers,
+                "block_size": block_size, "side": side, "layout": layout,
+                "family_only": family_only or None,
+            }
+            raise ValueError(
+                f"no {workload!r} plan honours the pins "
+                + ", ".join(
+                    f"{name}={value!r}" for name, value in pins.items()
+                    if value is not None
+                )
             )
         best = min(cands, key=lambda c: c.est_seconds)
         chosen = best.with_(

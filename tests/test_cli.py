@@ -38,6 +38,33 @@ def test_count_auto(konect_file, capsys):
     assert "auto" in out and "butterflies:" in out
 
 
+def test_count_always_prints_the_plan(konect_file, capsys):
+    assert main(["count", konect_file, "--strategy", "blocked"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("plan       : inv") and "-blocked-" in out[0]
+
+
+def test_count_conflicting_pins_exit_2_with_one_line(konect_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", konect_file, "--strategy", "blocked", "--workers", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "strategy='blocked'" in err and "workers=2" in err
+
+
+def test_explain_conflicting_pins_exit_2_with_one_line(konect_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "explain", konect_file, "--strategy", "priority",
+            "--storage", "compact",
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "strategy='priority'" in err and "layout='compact'" in err
+
+
 def test_count_explicit_invariant_consistency(konect_file, capsys):
     values = set()
     for inv in ("1", "5", "8"):
@@ -70,7 +97,8 @@ def test_count_bad_input_exits_2_with_one_line(tmp_path, capsys):
 
 def test_peel_tip(konect_file, capsys):
     assert main(["peel", konect_file, "--k", "1"]) == 0
-    assert "-tip" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("plan       : ") and "-tip" in out
 
 
 def test_peel_wing(konect_file, capsys):

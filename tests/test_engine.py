@@ -10,7 +10,8 @@ The acceptance properties of the Plan→Execute pipeline:
 2. **Cost-model sanity** — modeled ops and estimated cost are monotone
    in nnz along nested edge-prefix graphs of a generator family.
 3. **Pinning** — every caller-pinned field survives into the chosen
-   plan; over-constrained pin sets degrade gracefully.
+   plan; a pin set no candidate honours raises a ``ValueError`` naming
+   the pins.
 4. **Explain/trace agreement** — the ``engine.plan`` span attributes,
    the ``engine.execute`` span attributes, and the ``explain`` table all
    name the same decision.
@@ -239,13 +240,23 @@ class TestPinning:
         assert p.workers == 2 and p.executor == "shared"
         assert p.execute(g) == butterflies_spec_bform(g)
 
-    def test_overconstrained_pins_fall_back(self, g):
-        # executor="serial" + workers=4 is contradictory; the planner
-        # falls back to an unconstrained table instead of erroring
-        p = engine.plan(
-            g, "count", executor="serial", workers=4, calibration=DEFAULTS,
-        )
-        assert p.execute(g) == butterflies_spec_bform(g)
+    @pytest.mark.parametrize("pins, named", [
+        # executor="serial" + workers=4 is contradictory
+        ({"executor": "serial", "workers": 4}, "executor='serial', workers=4"),
+        # the panel kernel is serial-only
+        ({"strategy": "blocked", "executor": "shared"},
+         "strategy='blocked', executor='shared'"),
+        # the priority kernel runs on raw storage only
+        ({"strategy": "priority", "layout": "compact"},
+         "strategy='priority', layout='compact'"),
+    ], ids=["serial-with-4-workers", "blocked-on-shared", "priority-on-compact"])
+    def test_overconstrained_pins_raise(self, pins, named):
+        """A pin set no candidate honours is an error naming the pins,
+        never a silent re-plan that drops them."""
+        g = power_law_bipartite(300, 400, 5000, seed=1)
+        with pytest.raises(ValueError, match="honours the pins") as err:
+            engine.plan(g, "count", calibration=DEFAULTS, **pins)
+        assert named in str(err.value)
 
     def test_unknown_workload_strategy_executor_rejected(self, g):
         with pytest.raises(ValueError, match="workload"):
@@ -464,7 +475,6 @@ class TestBackCompatShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             count_butterflies(g)
-            count_butterflies(g, ordering="degree")
             p = engine.plan(g, "count", calibration=DEFAULTS)
             count_butterflies(g, plan=p)
 
@@ -508,7 +518,7 @@ class TestCandidateTable:
         cands = candidate_plans(g, "count", calibration=DEFAULTS)
         chosen = engine.plan(g, "count", calibration=DEFAULTS)
         assert chosen.est_seconds == min(c.est_seconds for c in cands)
-        # serial-family candidates cover both sides × all strategies
+        # the per-side production rows cover both sides
         labels = {c.label for c in cands}
         assert any("inv2" in label for label in labels)
         assert any("inv6" in label for label in labels)
@@ -525,3 +535,130 @@ class TestCandidateTable:
         )
         (row,) = [r for r in rows if r.name.endswith("regret")]
         assert row.status == "regression"
+
+
+# ----------------------------------------------------------------------
+# the open count table is the production policy
+# ----------------------------------------------------------------------
+class TestProductionTable:
+    @pytest.fixture(scope="class")
+    def g(self):
+        return power_law_bipartite(300, 400, 5000, seed=1)
+
+    def test_open_table_holds_only_production_rows(self, g):
+        serial = candidate_plans(
+            g, "count", executor="serial", calibration=DEFAULTS
+        )
+        assert sorted(c.label for c in serial) == [
+            "inv2-blocked-b440-serial", "inv6-blocked-b400-serial",
+            "priority-serial",
+        ]
+        pooled = candidate_plans(g, "count", workers=2, calibration=DEFAULTS)
+        assert sorted(c.label for c in pooled) == [
+            "inv2-wedge-sharedx2", "inv6-wedge-sharedx2",
+        ]
+        open_table = candidate_plans(g, "count", calibration=DEFAULTS)
+        assert {c.strategy for c in open_table} <= {
+            "priority", "blocked", "wedge",
+        }
+
+    def test_family_rows_need_family_only_or_a_strategy_pin(self, g):
+        family = candidate_plans(
+            g, "count", family_only=True, executor="serial",
+            calibration=DEFAULTS,
+        )
+        assert {c.strategy for c in family} == {"adjacency", "scratch", "spmv"}
+        for strategy in ("adjacency", "scratch", "spmv"):
+            rows = candidate_plans(
+                g, "count", strategy=strategy, executor="serial",
+                calibration=DEFAULTS,
+            )
+            assert [c.strategy for c in rows] == [strategy, strategy]
+
+    def test_pinned_invariant_gets_its_production_member(self, g):
+        p = engine.plan(
+            g, "count", invariant=3, executor="serial", calibration=DEFAULTS,
+        )
+        assert (p.invariant, p.strategy) == (3, "blocked")
+        assert p.execute(g) == butterflies_spec_bform(g)
+
+
+class TestFrontDoorsAgree:
+    """The CLI, the library and ``explain`` plan the same way."""
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        return power_law_bipartite(3000, 4000, 150000, seed=7)
+
+    def test_count_butterflies_runs_the_serial_production_plan(self, dense):
+        with obs.capture():
+            assert count_butterflies(dense) == 133_837_830
+            (run,) = [
+                r for r in obs.trace_records() if r["name"] == "engine.execute"
+            ]
+        assert run["attrs"]["chosen"] == "priority-serial"
+        family = engine.plan(
+            dense, "count", family_only=True, executor="serial",
+            calibration=DEFAULTS,
+        )
+        assert family.strategy in ("adjacency", "scratch", "spmv")
+
+    def test_cli_count_prints_explains_chosen_row(self, dense, tmp_path, capsys):
+        from repro.cli import main
+        from repro.graphs import save_konect
+
+        path = str(tmp_path / "dense.konect")
+        save_konect(dense, path)
+        assert main(["explain", path]) == 0
+        chosen = capsys.readouterr().out.splitlines()[-1]
+        assert chosen.startswith("chosen: priority-serial ")
+        assert main(["count", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "plan       : " + chosen[len("chosen: "):]
+        assert out[-1] == "butterflies: 133837830"
+
+
+class TestBenchmarkProbePins:
+    """Every pin set of the end-to-end benchmark's regret probe plans.
+
+    The pin sets are copied literally from ``e2ebench/child.py``
+    (``_pinned_set``); keep the two in step.
+    """
+
+    COUNT_PINS = {
+        "family-serial": dict(family_only=True, executor="serial"),
+        "wedge-serial": dict(strategy="wedge", executor="serial", workers=1),
+        "wedge-sharedx2": dict(strategy="wedge", executor="shared", workers=2),
+        "blocked-serial": dict(strategy="blocked", executor="serial"),
+    }
+    TIP_PINS = {
+        "blocked-serial": dict(executor="serial"),
+        "blocked-sharedx2": dict(executor="shared", workers=2),
+    }
+
+    @pytest.fixture(scope="class")
+    def g(self):
+        return power_law_bipartite(300, 400, 5000, seed=1)
+
+    @staticmethod
+    def _assert_honoured(p, pins):
+        for field, value in pins.items():
+            if field == "family_only":
+                assert p.strategy in ("adjacency", "scratch", "spmv"), p.label
+            else:
+                assert getattr(p, field) == value, (field, p.label)
+
+    @pytest.mark.parametrize("name", sorted(COUNT_PINS))
+    def test_count_pins_are_honoured(self, g, name):
+        pins = self.COUNT_PINS[name]
+        self._assert_honoured(
+            engine.plan(g, "count", calibration=DEFAULTS, **pins), pins
+        )
+
+    @pytest.mark.parametrize("name", sorted(TIP_PINS))
+    def test_tip_pins_are_honoured(self, g, name):
+        pins = self.TIP_PINS[name]
+        p = engine.plan(
+            g, "tip", side="left", k=2, calibration=DEFAULTS, **pins
+        )
+        self._assert_honoured(p, pins)

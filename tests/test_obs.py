@@ -20,6 +20,7 @@ from repro.core import (
     count_butterflies,
     count_butterflies_blocked,
     count_butterflies_parallel,
+    count_butterflies_unblocked,
     k_tip,
     k_wing,
 )
@@ -453,6 +454,8 @@ def workload_metrics():
     g = power_law_bipartite(150, 200, 1500, seed=3)
     with obs.capture() as metrics:
         expected = count_butterflies(g)
+        # the production plan is not a family member: sweep one directly
+        assert count_butterflies_unblocked(g, 2) == expected
         count_butterflies_blocked(g, block_size=64)
         k_tip(g, 2)
         k_wing(g, 2)

@@ -300,7 +300,7 @@ class TestWorkerDelta:
 class TestSmoke:
     def test_smoke_kernel_span_attribution(self):
         from repro.bench.parallel_bench import KERNEL_SPAN_PREFIXES
-        from repro.core import count_butterflies_unblocked
+        from repro.core import count_butterflies
         from repro.graphs import power_law_bipartite
 
         g = power_law_bipartite(2_000, 3_000, 60_000, seed=7)
@@ -311,7 +311,7 @@ class TestSmoke:
             # retry until a sample lands in the kernel (bounded at 2 s —
             # one count is ~tens of ms, so this converges immediately)
             while not kernel and time.perf_counter() < deadline:
-                count_butterflies_unblocked(g, 6, strategy="adjacency")
+                count_butterflies(g)  # the serial production plan
                 kernel = [
                     s for s in obs.profile_samples()
                     if str(s.get("span") or "").startswith(KERNEL_SPAN_PREFIXES)

@@ -1,5 +1,5 @@
 """Tests for one-mode projection, sparsification estimators, bucket
-peeling, and the degree-ordering execution option."""
+peeling, and counting on degree-ordered relabellings."""
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from repro.graphs import (
     count_from_projection,
     gnm_bipartite,
     is_butterfly_free,
+    order_side_by_degree,
     planted_bicliques,
     power_law_bipartite,
     project,
@@ -169,12 +170,14 @@ def test_bucket_tip_numbers_empty_graph():
     assert tip_numbers_bucket(BipartiteGraph.empty(4, 4)).tolist() == [0] * 4
 
 
-# ------------------------------------------------------- ordering option
+# ------------------------------------------------------- degree ordering
 def test_count_with_degree_ordering(corpus):
     for name, g in corpus[:6]:
         expected = count_butterflies(g)
-        assert count_butterflies(g, ordering="degree") == expected, name
-        assert count_butterflies(g, ordering="degree-desc") == expected, name
+        for side in ("left", "right"):
+            for descending in (False, True):
+                relabelled = order_side_by_degree(g, side, descending)
+                assert count_butterflies(relabelled) == expected, name
 
 
 def test_count_ordering_with_explicit_invariant():
@@ -182,11 +185,6 @@ def test_count_ordering_with_explicit_invariant():
     expected = count_butterflies(g)
     for inv in (1, 4, 5, 8):
         plan = engine.plan(g, invariant=inv, family_only=True, executor="serial")
-        got = count_butterflies(g, ordering="degree", plan=plan)
-        assert got == expected
-
-
-def test_count_ordering_validation():
-    g = tiny_named_graphs()["k33"]
-    with pytest.raises(ValueError, match="ordering"):
-        count_butterflies(g, ordering="random")
+        # a degree relabel permutes degrees, so the plan stays valid
+        relabelled = order_side_by_degree(g, plan.side)
+        assert count_butterflies(relabelled, plan=plan) == expected
