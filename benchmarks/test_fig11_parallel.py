@@ -77,7 +77,8 @@ def test_fig11_speedup_on_heavy_workload(benchmark):
     value = run_cell(
         benchmark,
         lambda: count_butterflies_parallel(
-            g, n_workers=N_WORKERS, executor="shared", invariant=6
+            g, n_workers=N_WORKERS, executor="shared", invariant=6,
+            strategy="adjacency",
         ),
         experiment="fig11-speedup",
     )

@@ -60,16 +60,21 @@ def _best_of(fn, repeats: int):
 
 def _dispatch_overhead_section(n_workers: int, repeats: int) -> dict:
     """Wide sparse graph, compute ≈ tens of ms: the warm pool's per-call
-    cost over the same sweep run in-process."""
+    cost over the same per-pivot adjacency sweep run in-process."""
     g = gnm_bipartite(400, 200_000, 150_000, seed=11)
 
     with ButterflyExecutor(n_workers=1) as ex1:
-        t_inproc, expected = _best_of(lambda: ex1.count(g), repeats)
+        t_inproc, expected = _best_of(
+            lambda: ex1.count(g, strategy="adjacency"), repeats
+        )
 
     with ButterflyExecutor(n_workers=n_workers) as ex:
-        warm_value = ex.count(g)  # warm-up: starts pool, publishes segment
+        # warm-up: starts pool, publishes segment
+        warm_value = ex.count(g, strategy="adjacency")
         assert warm_value == expected, "shared path disagrees"
-        t_shared, v_shared = _best_of(lambda: ex.count(g), repeats)
+        t_shared, v_shared = _best_of(
+            lambda: ex.count(g, strategy="adjacency"), repeats
+        )
         telemetry = {
             "pool_starts": ex.pool_starts,
             "publish_count": ex.publish_count,
@@ -95,13 +100,15 @@ def _dispatch_overhead_section(n_workers: int, repeats: int) -> dict:
 
 
 def _wedge_section(n_workers: int, repeats: int) -> dict:
-    """Wedge-partitioned backend vs the default shared path.
+    """Wedge-partitioned backend vs the per-pivot adjacency sweep on the
+    same shared pool.
 
     The graph is a *skewed* power law with many low-degree pivots on
     both sides — the shape where the per-pivot dispatch of the unblocked
     strategies pays the most interpreter overhead and the wedge backend's
     fused per-shard reductions pay the least.  ``wedge_speedup_ratio``
-    (shared-default ÷ wedge wall-clock; higher is better) is flattened
+    (adjacency ÷ wedge wall-clock, reported under the
+    ``seconds_shared_default_per_call`` key; higher is better) is flattened
     into ``BENCH_history.jsonl`` where the ``bench --compare`` gate
     watches it, and ``planner_choice`` records whether a pool-pinned plan
     picks the wedge candidate on cost-model merit (not because it was
@@ -115,9 +122,11 @@ def _wedge_section(n_workers: int, repeats: int) -> dict:
         t_wedge, v_wedge = _best_of(
             lambda: ex.count(g, strategy="wedge"), repeats
         )
-        t_shared, v_shared = _best_of(lambda: ex.count(g), repeats)
+        t_shared, v_shared = _best_of(
+            lambda: ex.count(g, strategy="adjacency"), repeats
+        )
     assert v_wedge == expected, "wedge path disagrees"
-    assert v_shared == expected, "shared default path disagrees"
+    assert v_shared == expected, "shared adjacency path disagrees"
     table = engine.calibrate(repeats=1, persist=False)
     chosen = engine.plan(g, "count", workers=n_workers, calibration=table)
     return {
@@ -232,13 +241,14 @@ def _stream_section(repeats: int) -> dict:
     ~10⁶ created butterflies individually, while the batched path touches
     each affected vertex pair once.  ``stream_speedup_vs_edge_ratio`` (per-edge
     ÷ batched wall-clock) and ``stream_speedup_vs_recount_ratio`` (from-scratch
-    recount of the global + both per-vertex counts ÷ batched) are
+    recount of the global count on the serial family plan + both
+    per-vertex counts ÷ batched) are
     flattened into ``BENCH_history.jsonl`` where the ``bench --compare``
     gate watches them; the ISSUE bars are ≥10× and ≥5×.
     """
     import numpy as np
 
-    from repro.core.family import count_butterflies
+    from repro import engine
     from repro.core.local_counts import vertex_butterfly_counts
     from repro.core.stream import DynamicButterflyCounter, StreamingButterflyCounter
     from repro.graphs import BipartiteGraph
@@ -263,7 +273,8 @@ def _stream_section(repeats: int) -> dict:
             np.stack([rows, cols], axis=1),
             n_left=g.n_left, n_right=g.n_right,
         )
-        total = count_butterflies(g2)
+        family = engine.plan(g2, "count", family_only=True, executor="serial")
+        total = engine.execute(family, g2)
         vertex_butterfly_counts(g2, "left")
         vertex_butterfly_counts(g2, "right")
         return total
@@ -588,7 +599,7 @@ def main(argv=None) -> int:
     print(f"  regret            : {r['regret']:8.2f}x  (lower is better)")
     w = payload["wedge"]
     print(f"wedge backend ({w['graph']['n_edges']} edges, skewed):")
-    print(f"  shared default    : "
+    print(f"  shared adjacency  : "
           f"{w['seconds_shared_default_per_call'] * 1e3:8.2f} ms/call")
     print(f"  wedge shards      : "
           f"{w['seconds_wedge_per_call'] * 1e3:8.2f} ms/call")

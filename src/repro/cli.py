@@ -174,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument(
         "--block-size", type=int, default=None, metavar="B",
-        help="pin the panel width (default: cost-model choice)",
+        help="pin the panel width of the blocked kernel (default: "
+        "cost-model choice)",
     )
     # SUPPRESS: a subparser default would overwrite the value the global
     # --trace-out already parsed onto the namespace

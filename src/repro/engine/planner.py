@@ -13,7 +13,8 @@ faster kernels instead:
    wedge shards of each side.  The paper's unblocked family
    (adjacency/scratch/spmv) is scored only under ``family_only=True`` or
    an explicit ``strategy=`` pin — it stays the reproduction of
-   Figs. 9–11 and the conformance oracle.
+   Figs. 9–11 and the conformance oracle.  A ``block_size`` pin with no
+   strategy keeps only the blocked rows, the ones with a panel width.
 2. **Exact work model** — each candidate's element-operation count comes
    from :mod:`repro.core.workinfo` (the same model the parallel range
    balancer and the Fig. 10 analysis use), never from asymptotics.
@@ -278,7 +279,10 @@ def _count_candidates(
     # order smaller side first so ties break the paper's way
     if invariant is None and graph.n_right > graph.n_left:
         invariants.reverse()
-    if strategy is None:
+    if strategy is None and block_size is not None and not family_only:
+        # a panel-width pin: only the blocked rows have a panel width
+        strategies = ("blocked",)
+    elif strategy is None:
         strategies = (
             FAMILY_STRATEGIES if family_only else _PRODUCTION_STRATEGIES
         )
@@ -379,7 +383,8 @@ def _count_candidates(
         expanded.extend(_layout_rows(cand, cal, layout))
     if (
         strategy in (None, "priority") and invariant is None
-        and not family_only and emit_serial and layout in (None, "raw")
+        and block_size is None and not family_only and emit_serial
+        and layout in (None, "raw")
     ):
         expanded.append(_priority_row(graph, cal))
     return expanded

@@ -443,7 +443,7 @@ class ButterflyExecutor:
         graph: BipartiteGraph,
         invariant: int | Invariant | None = None,
         side: str | Side | None = None,
-        strategy: str = "adjacency",
+        strategy: str = "wedge",
         chunks_per_worker: int | None = None,
     ) -> int:
         """Ξ_G over the warm pool; same contract as

@@ -44,6 +44,12 @@ def test_count_always_prints_the_plan(konect_file, capsys):
     assert out[0].startswith("plan       : inv") and "-blocked-" in out[0]
 
 
+def test_count_block_size_pin_plans_the_blocked_kernel(konect_file, capsys):
+    assert main(["count", konect_file, "--block-size", "64"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("plan       : inv") and "-blocked-b64-" in out[0]
+
+
 def test_count_conflicting_pins_exit_2_with_one_line(konect_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", konect_file, "--strategy", "blocked", "--workers", "2"])

@@ -249,7 +249,15 @@ class TestPinning:
         # the priority kernel runs on raw storage only
         ({"strategy": "priority", "layout": "compact"},
          "strategy='priority', layout='compact'"),
-    ], ids=["serial-with-4-workers", "blocked-on-shared", "priority-on-compact"])
+        # only the panel kernel has a panel width
+        ({"strategy": "priority", "block_size": 64},
+         "strategy='priority', block_size=64"),
+        # ... and it is serial-only
+        ({"block_size": 64, "workers": 2}, "workers=2, block_size=64"),
+    ], ids=[
+        "serial-with-4-workers", "blocked-on-shared", "priority-on-compact",
+        "priority-with-block-size", "block-size-on-shared",
+    ])
     def test_overconstrained_pins_raise(self, pins, named):
         """A pin set no candidate honours is an error naming the pins,
         never a silent re-plan that drops them."""
@@ -575,6 +583,12 @@ class TestProductionTable:
             )
             assert [c.strategy for c in rows] == [strategy, strategy]
 
+    def test_block_size_pin_keeps_only_blocked_rows(self, g):
+        p = engine.plan(g, "count", block_size=64, calibration=DEFAULTS)
+        assert {c.strategy for c in p.candidates} == {"blocked"}
+        assert {c.block_size for c in p.candidates} == {64}
+        assert p.execute(g) == butterflies_spec_bform(g)
+
     def test_pinned_invariant_gets_its_production_member(self, g):
         p = engine.plan(
             g, "count", invariant=3, executor="serial", calibration=DEFAULTS,
@@ -589,6 +603,14 @@ class TestFrontDoorsAgree:
     @pytest.fixture(scope="class")
     def dense(self):
         return power_law_bipartite(3000, 4000, 150000, seed=7)
+
+    @pytest.fixture(autouse=True)
+    def _default_calibration(self, tmp_path, monkeypatch):
+        # the front doors load the persisted table; point them at a
+        # missing file so they plan from the shipped defaults
+        monkeypatch.setenv(
+            "REPRO_CALIBRATION", str(tmp_path / "no-calibration.json")
+        )
 
     def test_count_butterflies_runs_the_serial_production_plan(self, dense):
         with obs.capture():

@@ -382,7 +382,7 @@ def test_worker_spans_reparented_under_dispatch(graph, expected):
     metric delta and re-parent under the owner's dispatch span."""
     with ButterflyExecutor(n_workers=2) as ex:
         with obs.capture():
-            assert ex.count(graph) == expected
+            assert ex.count(graph, strategy="adjacency") == expected
             records = obs.trace_records()
 
     maps = [r for r in records if r["name"] == "executor.map"]
