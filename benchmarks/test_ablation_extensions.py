@@ -8,9 +8,7 @@ paper's core:
 - **peeling discipline**: heap vs bucket tip decomposition (same output,
   different scheduling);
 - **dynamic maintenance**: a batch of edge updates via the incremental
-  counter vs recounting after every update;
-- **GraphBLAS pipeline**: the 4-operation semiring form vs the loop
-  family (the interpretive overhead of generality, measured).
+  counter vs recounting after every update.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import pytest
 
 from benchmarks.conftest import run_cell
 from repro import engine
-from repro.baselines import count_butterflies_graphblas
 from repro.bench import Sweep, TimedResult
 from repro.core import (
     DynamicButterflyCounter,
@@ -120,14 +117,4 @@ def test_dynamic_single_update_cost(benchmark):
         return dc.count
 
     value = benchmark.pedantic(one_update, rounds=5, iterations=20)
-    assert value == count_butterflies(g)
-
-
-# ---------------------------------------------------------- graphblas
-def test_graphblas_pipeline(benchmark):
-    g = load_dataset("arxiv")
-    value = run_cell(
-        benchmark, lambda: count_butterflies_graphblas(g), experiment="ablE",
-        variant="graphblas",
-    )
     assert value == count_butterflies(g)

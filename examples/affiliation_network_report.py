@@ -4,7 +4,7 @@ Scenario: you have an author–venue affiliation file in KONECT format (the
 paper's evaluation datasets have exactly this shape).  This example
 generates one (standing in for a download), writes/reads it through the
 KONECT I/O layer, then produces a structural report: exact butterfly count
-(cross-checked across family members and a sampling estimate), clustering,
+(cross-checked across family members), clustering,
 degree-ordered acceleration, and the densest core found by peeling.
 
 Run:  python examples/affiliation_network_report.py
@@ -22,10 +22,7 @@ from repro import (
     power_law_bipartite,
     save_konect,
 )
-from repro.baselines import (
-    count_butterflies_degree_ordered,
-    estimate_butterflies_edge_sampling,
-)
+from repro.baselines import count_butterflies_degree_ordered
 from repro.bench import time_callable
 from repro.graphs import graph_stats
 
@@ -65,14 +62,11 @@ def main() -> None:
     assert col_member.value == row_member.value
     total = row_member.value
 
-    # -- acceleration and approximation ---------------------------------------
+    # -- acceleration ------------------------------------------------------------
     ordered = time_callable(
         lambda: count_butterflies_degree_ordered(g), repeats=1
     )
     print(f"degree-ordered counter: {ordered.seconds:.3f}s -> {ordered.value}")
-    est = estimate_butterflies_edge_sampling(g, n_samples=400, seed=9)
-    print(f"edge-sampling estimate (400 samples): {est.estimate:,.0f} "
-          f"(relative error {est.relative_error(total):.1%})")
 
     cc = bipartite_clustering_coefficient(g, butterflies=total)
     print(f"clustering coefficient C4 = {cc:.5f}")

@@ -30,7 +30,7 @@ Package map:
 - :mod:`repro.graphs`    — graph container, generators, KONECT I/O, the
   synthetic Fig. 9 dataset stand-ins.
 - :mod:`repro.baselines` — independent oracles (brute force, scipy,
-  vertex-priority, degree-ordered, sampling estimators).
+  vertex-priority, degree-ordered, Wang et al.'s bounded-memory counters).
 - :mod:`repro.metrics`   — butterfly-derived clustering metrics.
 - :mod:`repro.bench`     — the harness behind the ``benchmarks/`` suite.
 """
@@ -40,10 +40,8 @@ from repro.core import (
     ALL_INVARIANTS,
     INVARIANTS,
     DynamicButterflyCounter,
-    HybridStreamCounter,
     Invariant,
     StreamingButterflyCounter,
-    StreamingEstimator,
     iter_butterflies,
     Reference,
     Side,
@@ -104,8 +102,6 @@ __all__ = [
     "wing_numbers",
     "DynamicButterflyCounter",
     "StreamingButterflyCounter",
-    "StreamingEstimator",
-    "HybridStreamCounter",
     "iter_butterflies",
     # graphs
     "BipartiteGraph",

@@ -14,7 +14,7 @@
     repro-butterfly algorithms [--executor E] [--run GRAPH]  # the registry
     repro-butterfly generate   OUT --n-left M --n-right N --edges E
     repro-butterfly stats      --from-metrics metrics.jsonl  # render metrics
-    repro-butterfly stream     GRAPH SCRIPT [--estimate] [--snapshot-out P]
+    repro-butterfly stream     GRAPH SCRIPT [--snapshot-out P]
 
 GRAPH is either a path to a KONECT-format edge list (optionally ``.gz``;
 see :mod:`repro.graphs.io`) or ``dataset:<name>`` for one of the synthetic
@@ -396,22 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="per-batch maintenance strategy (auto: the engine's cost "
         "model chooses between incremental and recount per batch)",
-    )
-    p_stream.add_argument(
-        "--estimate", action="store_true",
-        help="also run the FLEET-style reservoir sketch over the inserts "
-        "and print its estimate with a confidence interval",
-    )
-    p_stream.add_argument(
-        "--reservoir", type=int, default=2048,
-        help="sketch reservoir size across all groups (default 2048)",
-    )
-    p_stream.add_argument(
-        "--groups", type=int, default=8,
-        help="independent sketch groups (default 8)",
-    )
-    p_stream.add_argument(
-        "--seed", type=int, default=0, help="sketch RNG seed (default 0)"
     )
     p_stream.add_argument(
         "--snapshot-in", default=None, metavar="PATH",
@@ -823,11 +807,7 @@ def _cmd_stats(args) -> int:
 def _cmd_stream(args) -> int:
     """``repro-butterfly stream`` — replay an edge script (docs/streaming.md)."""
     from repro import engine
-    from repro.core.stream import (
-        SnapshotError,
-        StreamingButterflyCounter,
-        StreamingEstimator,
-    )
+    from repro.core.stream import SnapshotError, StreamingButterflyCounter
     from repro.core.stream.script import iter_batches, load_script
 
     g = _load(args.graph)
@@ -839,13 +819,6 @@ def _cmd_stream(args) -> int:
         except (OSError, SnapshotError) as exc:
             print(f"error: cannot restore snapshot: {exc}", file=sys.stderr)
             return 1
-    estimator = (
-        StreamingEstimator(
-            reservoir_size=args.reservoir, groups=args.groups, seed=args.seed
-        )
-        if args.estimate
-        else None
-    )
     ops = load_script(args.script)
     batches = []
     for index, (insert, delete) in enumerate(iter_batches(ops)):
@@ -856,8 +829,6 @@ def _cmd_stream(args) -> int:
             )
             strategy = chosen.strategy
         stats = counter.apply(insert=insert, delete=delete, strategy=strategy)
-        if estimator is not None and insert:
-            estimator.add_edges(insert)
         row = dict(stats, batch=index, strategy=strategy)
         batches.append(row)
         if not args.json:
@@ -869,10 +840,6 @@ def _cmd_stream(args) -> int:
     if args.snapshot_out:
         with open(args.snapshot_out, "wb") as fh:
             fh.write(counter.snapshot())
-    estimate = None
-    if estimator is not None:
-        value, ci_low, ci_high = estimator.estimate()
-        estimate = {"value": value, "ci_low": ci_low, "ci_high": ci_high}
     if args.json:
         import json
 
@@ -883,19 +850,12 @@ def _cmd_stream(args) -> int:
             "n_edges": counter.n_edges,
             "butterflies": counter.count,
         }
-        if estimate is not None:
-            payload["estimate"] = estimate
         if args.snapshot_out:
             payload["snapshot_out"] = args.snapshot_out
         print(json.dumps(payload, indent=2))
         return 0
     print(f"edges       : {counter.n_edges}")
     print(f"butterflies : {counter.count}")
-    if estimate is not None:
-        print(
-            f"sketch      : {estimate['value']:.1f} "
-            f"[{estimate['ci_low']:.1f}, {estimate['ci_high']:.1f}]"
-        )
     if args.snapshot_out:
         print(f"snapshot    : {args.snapshot_out}")
     return 0

@@ -168,11 +168,9 @@ def k_tip(
                 )
             if not kept.any():
                 break
-        # normalise: a vertex with zero degree after peeling is "kept" only
-        # if k == 0 (it participates in 0 butterflies)
-        if k > 0:
-            counts = counts_of(current)
-            kept = kept & (counts >= k)
+        # kept ⊆ {counts >= k} already holds on ``current``: the loop exits
+        # after a round on this same graph found no offenders, or with
+        # kept all False
         if obs._enabled:
             # policy="sum": kept counts over disjoint vertex shards are
             # additive, so worker-delta merges are order-independent
@@ -245,7 +243,4 @@ def k_tip_lookahead(graph: BipartiteGraph, k: int, side: str = "left") -> TipRes
             )
         if not kept.any():
             break
-    if k > 0:
-        s = _tip_sweep_lookahead(current, side)
-        kept = kept & (s >= k)
     return TipResult(subgraph=current, kept=kept, rounds=rounds, k=k, side=side)

@@ -1,4 +1,4 @@
-"""Streaming tier: batched maintenance, sketch estimation, snapshots.
+"""Streaming tier: exact batched maintenance and snapshots.
 
 The dynamic/streaming subsystem:
 
@@ -7,9 +7,6 @@ The dynamic/streaming subsystem:
   wedge kernels; snapshot/restore included.
 - :class:`DynamicButterflyCounter` — the original per-edge counter,
   kept as the simple reference implementation and bench baseline.
-- :class:`StreamingEstimator` — FLEET-style reservoir sketch with
-  ``estimate() -> (value, ci_low, ci_high)``.
-- :class:`HybridStreamCounter` — exact hot window + sketch tail.
 - :mod:`~repro.core.stream.script` — the edge-script format shared by
   the CLI ``stream`` subcommand and the conformance harness.
 - :mod:`~repro.core.stream.snapshot` — versioned, checksummed counter
@@ -21,12 +18,6 @@ from repro.core.stream.counter import (
     StreamingButterflyCounter,
 )
 from repro.core.stream.dynamic import DynamicButterflyCounter
-from repro.core.stream.estimator import (
-    DEFAULT_VARIANCE_SCALE,
-    StreamingEstimator,
-    calibrate_variance,
-)
-from repro.core.stream.hybrid import HybridStreamCounter
 from repro.core.stream.snapshot import (
     SnapshotChecksumError,
     SnapshotError,
@@ -39,10 +30,6 @@ __all__ = [
     "StreamingButterflyCounter",
     "STREAM_APPLY_STRATEGIES",
     "DynamicButterflyCounter",
-    "StreamingEstimator",
-    "DEFAULT_VARIANCE_SCALE",
-    "calibrate_variance",
-    "HybridStreamCounter",
     "SnapshotError",
     "SnapshotFormatError",
     "SnapshotVersionError",

@@ -25,16 +25,10 @@ from repro.graphs.ordering import (
 )
 from repro.graphs.cleanup import ReducedGraph, drop_isolated, two_two_core
 from repro.graphs.rewire import rewire_edges
-from repro.graphs.mtx import load_matrix_market, save_matrix_market
 from repro.graphs.projection import (
     count_from_projection,
     is_butterfly_free,
     project,
-)
-from repro.graphs.traversal import (
-    bfs,
-    connected_components,
-    largest_component_masks,
 )
 from repro.graphs.stats import (
     GraphStats,
@@ -71,13 +65,8 @@ __all__ = [
     "project",
     "count_from_projection",
     "is_butterfly_free",
-    "bfs",
-    "connected_components",
-    "largest_component_masks",
     "ReducedGraph",
     "drop_isolated",
     "two_two_core",
-    "load_matrix_market",
-    "save_matrix_market",
     "rewire_edges",
 ]

@@ -36,7 +36,6 @@ from repro.sparsela.kernels import (
     spmv_pattern_transposed,
 )
 from repro.sparsela import linalg, semiring
-from repro.sparsela.stack import hstack_patterns, vstack_patterns
 from repro.sparsela.semiring import (
     ANY_PAIR,
     PLUS_PAIR,
@@ -64,8 +63,6 @@ __all__ = [
     "tril",
     "triu",
     "semiring",
-    "hstack_patterns",
-    "vstack_patterns",
     "PatternCOO",
     "PatternCSR",
     "PatternCSC",

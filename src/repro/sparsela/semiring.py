@@ -16,10 +16,8 @@ provides just enough of that vocabulary —
 - :func:`reduce_scalar` / :func:`ewise_mult` — the reductions and Hadamard
   steps that finish the count.
 
-On top of these, :func:`repro.baselines.graphblas_style.count_butterflies_graphblas`
-expresses the whole computation as four GraphBLAS calls — a third
-independent executable form of the specification (after the dense oracle
-and the loop family).
+The linear-algebra peeling (:mod:`repro.core.peeling.linear_algebra`)
+and the pattern matrices' ``A @ B`` operator are built on these calls.
 
 Everything here returns plain ``(indptr, indices, values)`` CSR triples;
 values are always int64.

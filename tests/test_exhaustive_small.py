@@ -13,7 +13,6 @@ import pytest
 
 from repro.baselines import (
     count_butterflies_bruteforce,
-    count_butterflies_graphblas,
     count_butterflies_scipy,
     count_butterflies_vertex_priority,
     count_butterflies_wang_space_efficient,
@@ -53,7 +52,6 @@ def test_all_counters_on_every_small_graph(shape):
         assert count_butterflies_unblocked(g, 4, strategy="spmv") == expected
         assert count_butterflies_blocked(g, 5, block_size=2) == expected
         assert count_butterflies_scipy(g) == expected
-        assert count_butterflies_graphblas(g) == expected
         assert count_butterflies_vertex_priority(g) == expected
         assert count_butterflies_wang_space_efficient(g) == expected
         assert count_from_projection(g) == expected

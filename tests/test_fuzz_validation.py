@@ -14,10 +14,8 @@ from repro.graphs import (
     gnm_bipartite,
     load_edge_list,
     load_konect,
-    load_matrix_market,
     save_edge_list,
     save_konect,
-    save_matrix_market,
 )
 from repro.sparsela import PatternCSR
 from repro.sparsela.semiring import PLUS_TIMES, mxm
@@ -95,10 +93,6 @@ def test_serialisation_roundtrip_fuzz(tmp_path, seed):
     save_konect(g, konect)
     assert load_konect(konect) == g
 
-    mtx = tmp_path / f"g{seed}.mtx"
-    save_matrix_market(g, mtx)
-    assert load_matrix_market(mtx) == g
-
     edges = tmp_path / f"g{seed}.edges"
     save_edge_list(g, edges)
     assert load_edge_list(edges).edges().tolist() == g.edges().tolist()
@@ -109,13 +103,6 @@ def test_konect_loader_rejects_binary_garbage(tmp_path):
     path.write_bytes(bytes([0, 159, 146, 150]))
     with pytest.raises((ValueError, UnicodeDecodeError)):
         load_konect(path)
-
-
-def test_mtx_loader_rejects_random_text(tmp_path):
-    path = tmp_path / "garbage.mtx"
-    path.write_text("this is not a matrix\n1 2 3\n")
-    with pytest.raises(ValueError):
-        load_matrix_market(path)
 
 
 # --------------------------------------------- semantic fuzz: count sanity

@@ -10,6 +10,7 @@ from repro.core import (
     k_tip_lookahead,
     k_wing,
     vertex_butterfly_counts,
+    vertex_butterfly_counts_blocked,
 )
 from repro.graphs import BipartiteGraph, planted_bicliques, power_law_bipartite
 from tests.conftest import tiny_named_graphs
@@ -115,6 +116,27 @@ def test_tip_result_metadata(community_graph):
     res = k_tip(community_graph, 2, side="left")
     assert res.k == 2 and res.side == "left"
     assert res.n_kept == int(res.kept.sum())
+
+
+class _CountingExecutor:
+    """Executor stand-in: serial blocked per-vertex counts, calls tallied."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def vertex_counts(self, graph, side):
+        self.calls += 1
+        return vertex_butterfly_counts_blocked(graph, side)
+
+
+@pytest.mark.parametrize("k", [1, 10, 30, 10**9])
+def test_tip_counts_once_per_round(community_graph, k):
+    """The fixpoint round that finds no offenders already holds the
+    final counts, so ``k_tip`` must not count the result graph again."""
+    executor = _CountingExecutor()
+    res = k_tip(community_graph, k, executor=executor)
+    assert executor.calls == res.rounds
+    assert np.array_equal(res.kept, k_tip(community_graph, k).kept)
 
 
 # --------------------------------------------------------------- k-wing

@@ -2,14 +2,13 @@
 
 Covers the lifecycle (disabled no-op, start/stop idempotence, capture
 hermeticity), span attribution through ``trace._ACTIVE_SPANS``, the
-collapsed-stack and Chrome-trace exporters (schema + round-trip), the
+collapsed-stack exporter (format + round-trip), the
 worker-delta transport (``PROFILE_DELTA_KEY`` re-parenting), and the CI
 smoke: at least one sample lands inside a kernel span on a real count.
 """
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
 import threading
@@ -24,8 +23,6 @@ from repro.obs.profile import (
     PROFILE_THREAD_NAME,
     SampleBuffer,
     aggregate_frames,
-    chrome_profile,
-    chrome_profile_events,
     collapsed_stacks,
     parse_collapsed,
     render_profile_report,
@@ -218,25 +215,6 @@ class TestCollapsedStacks:
         path = tmp_path / "p.collapsed"
         write_collapsed(path, _fake_records())
         assert parse_collapsed(path.read_text())["process;cli.py:main"] == 1
-
-
-class TestChromeExport:
-    def test_sample_event_schema(self):
-        events = chrome_profile_events(_fake_records())
-        assert len(events) == 3
-        for ev in events:
-            assert ev["ph"] == "P"
-            assert ev["name"] == "sample"
-            assert {"ts", "pid", "tid", "args"} <= set(ev)
-            assert "stack" in ev["args"]
-        # sorted by timestamp
-        assert [ev["ts"] for ev in events] == sorted(ev["ts"] for ev in events)
-
-    def test_chrome_profile_is_json_document(self):
-        doc = chrome_profile(_fake_records(), command="unit")
-        payload = json.loads(json.dumps(doc))
-        assert payload["otherData"]["command"] == "unit"
-        assert len(payload["traceEvents"]) == 3
 
 
 class TestReport:

@@ -1,21 +1,14 @@
-"""Tests for one-mode projection, sparsification estimators, bucket
-peeling, and counting on degree-ordered relabellings."""
+"""Tests for one-mode projection, bucket peeling, and counting on
+degree-ordered relabellings."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    estimate_butterflies_cspar,
-    estimate_butterflies_espar,
-    sparsify_bernoulli,
-    sparsify_colorful,
-)
 from repro import engine
 from repro.core import count_butterflies, tip_numbers, tip_numbers_bucket
 from repro.graphs import (
     BipartiteGraph,
     count_from_projection,
-    gnm_bipartite,
     is_butterfly_free,
     order_side_by_degree,
     planted_bicliques,
@@ -66,83 +59,6 @@ def test_is_butterfly_free(tiny_graphs):
 def test_is_butterfly_free_on_corpus(corpus):
     for name, g in corpus:
         assert is_butterfly_free(g) == (count_butterflies(g) == 0), name
-
-
-# ------------------------------------------------------------ sparsifiers
-def test_bernoulli_sparsify_extremes():
-    g = gnm_bipartite(10, 10, 40, seed=1)
-    assert sparsify_bernoulli(g, 1.0, seed=0) == g
-    assert sparsify_bernoulli(g, 0.0, seed=0).n_edges == 0
-
-
-def test_bernoulli_sparsify_subset():
-    g = gnm_bipartite(20, 20, 150, seed=2)
-    sub = sparsify_bernoulli(g, 0.5, seed=3)
-    edges_g = {tuple(e) for e in map(tuple, g.edges())}
-    edges_s = {tuple(e) for e in map(tuple, sub.edges())}
-    assert edges_s <= edges_g
-    assert sub.shape == g.shape
-
-
-def test_colorful_sparsify_one_color_is_identity():
-    g = gnm_bipartite(10, 10, 40, seed=1)
-    assert sparsify_colorful(g, 1, seed=0) == g
-
-
-def test_colorful_sparsify_keeps_monochromatic_edges_only():
-    g = gnm_bipartite(15, 15, 80, seed=4)
-    n_colors = 3
-    seed = 7
-    sub = sparsify_colorful(g, n_colors, seed=seed)
-    rng = np.random.default_rng(seed)
-    cl = rng.integers(0, n_colors, size=g.n_left)
-    cr = rng.integers(0, n_colors, size=g.n_right)
-    expected = {
-        (int(u), int(v)) for u, v in g.edges() if cl[u] == cr[v]
-    }
-    assert {tuple(map(int, e)) for e in sub.edges()} == expected
-
-
-def test_espar_exact_at_p1():
-    g = gnm_bipartite(15, 15, 90, seed=5)
-    est = estimate_butterflies_espar(g, 1.0, seed=0)
-    assert est.estimate == count_butterflies(g)
-
-
-def test_cspar_exact_at_one_color():
-    g = gnm_bipartite(15, 15, 90, seed=5)
-    est = estimate_butterflies_cspar(g, 1, seed=0)
-    assert est.estimate == count_butterflies(g)
-
-
-def test_espar_unbiased_over_seeds():
-    g = power_law_bipartite(40, 50, 300, seed=6)
-    exact = count_butterflies(g)
-    mean = np.mean(
-        [estimate_butterflies_espar(g, 0.7, seed=s).estimate for s in range(60)]
-    )
-    assert abs(mean - exact) / exact < 0.2
-
-
-def test_cspar_unbiased_over_seeds():
-    g = power_law_bipartite(40, 50, 300, seed=6)
-    exact = count_butterflies(g)
-    mean = np.mean(
-        [estimate_butterflies_cspar(g, 2, seed=s).estimate for s in range(80)]
-    )
-    assert abs(mean - exact) / exact < 0.35  # higher variance estimator
-
-
-def test_sparsifier_validation():
-    g = gnm_bipartite(5, 5, 10, seed=0)
-    with pytest.raises(ValueError, match="p must"):
-        sparsify_bernoulli(g, 1.5)
-    with pytest.raises(ValueError, match="p must"):
-        estimate_butterflies_espar(g, 0.0)
-    with pytest.raises(ValueError, match="n_colors"):
-        sparsify_colorful(g, 0)
-    with pytest.raises(ValueError, match="n_colors"):
-        estimate_butterflies_cspar(g, 0)
 
 
 # ---------------------------------------------------------- bucket peeling

@@ -1,19 +1,14 @@
 """Property-based tests for the extension subsystems.
 
 Same graph strategy as :mod:`tests.test_properties`, applied to the
-semiring layer, enumeration, the dynamic counter, projections,
-sparsification, and the blocked local-count kernel.
+semiring layer, enumeration, the dynamic counter, projections and the
+blocked local-count kernel.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import (
-    count_butterflies_graphblas,
-    sparsify_bernoulli,
-    sparsify_colorful,
-)
 from repro.core import (
     DynamicButterflyCounter,
     butterflies_spec,
@@ -63,12 +58,6 @@ def test_mxm_matches_dense_for_random_pairs(g, seed):
     b = (rng.random((g.n_right, 7)) < 0.5).astype(int)
     got = mxm(PatternCSR.from_dense(a), PatternCSR.from_dense(b), PLUS_TIMES)
     assert np.array_equal(got.to_dense(), a @ b)
-
-
-@given(g=bipartite_graphs())
-@settings(**SETTINGS)
-def test_graphblas_pipeline_equals_spec(g):
-    assert count_butterflies_graphblas(g) == butterflies_spec(g)
 
 
 @given(g=bipartite_graphs(), invariant=st.integers(1, 8))
@@ -124,22 +113,3 @@ def test_blocked_vertex_counts_property(g, block, side):
         vertex_butterfly_counts_blocked(g, side, block),
         vertex_butterfly_counts(g, side),
     )
-
-
-@given(g=bipartite_graphs(), p=st.floats(0.1, 1.0), seed=st.integers(0, 10**6))
-@settings(**SETTINGS)
-def test_bernoulli_sparsifier_is_subgraph(g, p, seed):
-    sub = sparsify_bernoulli(g, p, seed)
-    edges_g = {tuple(map(int, e)) for e in g.edges()}
-    edges_s = {tuple(map(int, e)) for e in sub.edges()}
-    assert edges_s <= edges_g
-    assert butterflies_spec(sub) <= butterflies_spec(g)
-
-
-@given(g=bipartite_graphs(), colors=st.integers(1, 4), seed=st.integers(0, 10**6))
-@settings(**SETTINGS)
-def test_colorful_sparsifier_is_subgraph(g, colors, seed):
-    sub = sparsify_colorful(g, colors, seed)
-    edges_g = {tuple(map(int, e)) for e in g.edges()}
-    edges_s = {tuple(map(int, e)) for e in sub.edges()}
-    assert edges_s <= edges_g
