@@ -18,7 +18,9 @@
 
 GRAPH is either a path to a KONECT-format edge list (optionally ``.gz``;
 see :mod:`repro.graphs.io`) or ``dataset:<name>`` for one of the synthetic
-Fig. 9 stand-ins.
+Fig. 9 stand-ins.  A GRAPH file that cannot be read or parsed exits 2, and
+one whose graph would not fit in memory exits 3, each with one ``error:``
+line naming the file.
 
 Every command accepts a global ``--metrics-out PATH`` (before the
 subcommand): it enables :mod:`repro.obs` for the run and appends one JSON
@@ -66,6 +68,7 @@ from repro.core import (
 from repro.engine import COUNT_STRATEGIES
 from repro.graphs import (
     BipartiteGraph,
+    GraphTooLargeError,
     dataset_names,
     graph_stats,
     load_dataset,
@@ -91,8 +94,14 @@ def _load(spec: str) -> BipartiteGraph:
         return BipartiteGraph.empty(m, n)
     try:
         return load_konect(spec)
+    except GraphTooLargeError as exc:  # names the file, sizes and budget
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(3) from None
     except ValueError as exc:  # names the file, line and offending token
         print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    except OSError as exc:  # missing, unreadable or not a file
+        print(f"error: {spec}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
 

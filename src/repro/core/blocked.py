@@ -44,7 +44,6 @@ from repro._types import COUNT_DTYPE
 from repro.core.family import (
     Invariant,
     Reference,
-    Side,
     Traversal,
     _matrices_for_side,
     _resolve_invariant,

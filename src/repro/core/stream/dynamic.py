@@ -29,8 +29,6 @@ streaming bench section measures against).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = ["DynamicButterflyCounter"]

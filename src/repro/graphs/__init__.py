@@ -9,7 +9,13 @@ from repro.graphs.generators import (
     planted_bicliques,
     power_law_bipartite,
 )
-from repro.graphs.io import load_edge_list, load_konect, save_edge_list, save_konect
+from repro.graphs.io import (
+    GraphTooLargeError,
+    load_edge_list,
+    load_konect,
+    save_edge_list,
+    save_konect,
+)
 from repro.graphs.datasets import (
     DATASETS,
     DatasetSpec,
@@ -45,6 +51,7 @@ __all__ = [
     "configuration_model_bipartite",
     "power_law_bipartite",
     "planted_bicliques",
+    "GraphTooLargeError",
     "load_konect",
     "save_konect",
     "load_edge_list",

@@ -34,8 +34,9 @@ def compress_pairs(
     """Compress parallel (major, minor) id arrays into ``(indptr, indices)``.
 
     The input need not be sorted or duplicate-free; output slices are sorted
-    and de-duplicated.  This is a counting sort: O(nnz + major_dim), no
-    comparison sort on the major axis.
+    and de-duplicated.  Entries are ordered by one stable ``argsort`` of the
+    composite key ``major * minor_dim + minor``, O(nnz log nnz), and the
+    row pointers come from a ``bincount`` over the major ids, O(major_dim).
     """
     major = as_index_array(major)
     minor = as_index_array(minor)

@@ -64,7 +64,7 @@ class PatternCSC(CompressedPattern):
         return PatternCOO(self.indices, self.expand_major(), self.shape)
 
     def to_csr(self):
-        """Convert to CSR (counting sort on the row ids)."""
+        """Convert to CSR (re-compressed on the row ids)."""
         from repro.sparsela.csr import PatternCSR
 
         m, n = self.shape

@@ -64,7 +64,7 @@ class PatternCSR(CompressedPattern):
         return PatternCOO(self.expand_major(), self.indices, self.shape)
 
     def to_csc(self):
-        """Convert to CSC (counting sort on the column ids)."""
+        """Convert to CSC (re-compressed on the column ids)."""
         from repro.sparsela.csc import PatternCSC
 
         m, n = self.shape

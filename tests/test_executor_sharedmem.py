@@ -24,7 +24,6 @@ import pytest
 from repro.core import (
     ALL_INVARIANTS,
     count_butterflies,
-    count_butterflies_parallel,
     count_butterflies_unblocked,
     k_tip,
     vertex_butterfly_counts,

@@ -33,7 +33,6 @@ from repro.core.workinfo import wedge_work_prefix
 from repro.engine.calibration import CalibrationTable
 from repro.graphs import (
     BipartiteGraph,
-    erdos_renyi_bipartite,
     power_law_bipartite,
 )
 from repro.sparsela import PatternCSR
@@ -41,7 +40,6 @@ from repro.storage import (
     LAYOUTS,
     CompactCSR,
     CompactPattern,
-    GraphStorage,
     MmapCSR,
     RawCSR,
     decode_varint_deltas,

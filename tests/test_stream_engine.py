@@ -15,7 +15,7 @@ from repro import engine
 from repro.core.stream import StreamingButterflyCounter
 from repro.core.workinfo import touched_wedge_work
 from repro.engine.plan import STREAM_STRATEGIES, WORKLOADS
-from repro.graphs import BipartiteGraph, power_law_bipartite
+from repro.graphs import power_law_bipartite
 
 
 @pytest.fixture(scope="module")
